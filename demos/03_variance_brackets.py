@@ -31,11 +31,11 @@ for b in report.brackets:
 # brackets nest is not guaranteed and not asserted.
 
 print("\ndepth-zero chains:")
-p0 = report.p0
+p0 = report.p0_chain
 print(f"  0 <= {p0.ek1:.6f} <= {p0.var:.6f} <= {p0.ej1:.6f}")
 print(f"  0 <= {p0.half_ek2:.6f} <= {p0.bias:.6f} <= {p0.half_ej2:.6f}")
 
-print("\nexact-series residuals:", report.residuals)
+print("\nexact-series residuals:", report.identity_residuals)
 
 if report.corollary:
     c = report.corollary

@@ -26,11 +26,9 @@ from .bounds import (
 )
 from .conditional import (
     CondExpCache,
-    cond_expect,
     iterated_variance,
     iterated_variance_ie,
     iterated_variance_ordered,
-    prefix_expect,
 )
 from .hoeffding import (
     HoeffdingDecomposition,
@@ -38,6 +36,7 @@ from .hoeffding import (
     degree_spectrum,
     hoeffding_component,
     spectrum_identities,
+    subset_masses,
 )
 from .jackknife import (
     JackknifeSpectrum,
@@ -96,7 +95,6 @@ __all__ = [
     "all_brackets",
     "build_space",
     "classical_jackknife",
-    "cond_expect",
     "decompose",
     "degree_bound",
     "degree_spectrum",
@@ -117,13 +115,13 @@ __all__ = [
     "jackknife_spectrum",
     "p0_chain",
     "partial_sum_bracket",
-    "prefix_expect",
     "prefix_jackknife",
     "projected_jackknife",
     "recursion_check",
     "sample_outcome",
     "sample_outcomes",
     "spectrum_identities",
+    "subset_masses",
     "tabulate",
     "variance",
     "variance_identities",

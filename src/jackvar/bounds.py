@@ -16,19 +16,25 @@ Whether brackets are nested as p grows is not asserted anywhere: every
 bracket is reported and only each p's own validity is guaranteed.
 
 Residual scale is max(1, E S^2) throughout, so relative tolerances degrade
-gracefully for tiny statistics.  Reports carry raw and clamped copies of
-every non-negative quantity for debuggability of floating-point near-zeros.
+gracefully for tiny statistics.
+
+`exact_report` takes every moment from the Hoeffding subset masses
+(`hoeffding.subset_masses`), so the series and recursion residuals it
+reports compare the closed forms with the independently computed two-pass
+variance.  `selfcheck` runs the same checks on moments summed from their
+subset definitions, where they cross-check two independent paths.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import Optional
 
 from .conditional import CondExpCache
-from .hoeffding import decompose, spectrum_identities
-from .jackknife import JackknifeSpectrum, jackknife_spectrum
+from .hoeffding import degree_spectrum, spectrum_identities
+from .jackknife import JackknifeSpectrum
 from .model import ConsistencyError, ModelError, expectation, variance
 
 SPECTRUM_ZERO_REL = 1e-12
@@ -156,8 +162,9 @@ def recursion_check(jack: JackknifeSpectrum, var_exact: float) -> float:
     """Worst residual of the prefix-moment telescoping chain.
 
     er_1 = var, er_k = ej_{k-1}/(k-1)! - er_{k-1} for k = 2..n, and the
-    terminal identity n! er_n = ej_n.  The er values are computed from
-    their definition, so this genuinely cross-checks the recursion.
+    terminal identity n! er_n = ej_n.  Moments derived from the spectrum
+    satisfy it by construction; on the definitional sums that `selfcheck`
+    builds it genuinely cross-checks the recursion.
     """
     n = jack.n
     residuals = [abs(jack.er[0] - var_exact)]
@@ -195,6 +202,30 @@ def degree_bound(
     return out
 
 
+def _as_lists(value):
+    """`asdict` output with every tuple turned into a list, as JSON loads it."""
+    if isinstance(value, dict):
+        return {k: _as_lists(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(v) for v in value]
+    return value
+
+
+def _load(tp, value):
+    """Rebuild a value of annotated type `tp` from its `to_dict` form."""
+    if value is None:
+        return None
+    if is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        return tp(**{f.name: _load(hints[f.name], value[f.name]) for f in fields(tp)})
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        return tuple(_load(args[0], v) for v in value)
+    if args:  # Optional[X]
+        return _load(args[0], value)
+    return tp(value)
+
+
 @dataclass(frozen=True)
 class BoundsReport:
     """Everything the exact engine knows about one instance."""
@@ -204,118 +235,42 @@ class BoundsReport:
     var_exact: float
     scale: float
     ej: tuple[float, ...]
-    ej_raw: tuple[float, ...]
     ek: tuple[float, ...]
-    ek_raw: tuple[float, ...]
     er: tuple[float, ...]
-    er_raw: tuple[float, ...]
     spectrum: tuple[float, ...]
     spectrum_raw: tuple[float, ...]
     brackets: tuple[Bracket, ...]
-    p0: P0Chain
-    residuals: IdentityResiduals
+    p0_chain: P0Chain
+    identity_residuals: IdentityResiduals
     corollary: Optional[DegreeBound]
 
+    @property
+    def p0(self) -> P0Chain:
+        """Short name for `p0_chain`."""
+        return self.p0_chain
+
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "var_exact": self.var_exact,
-            "scale": self.scale,
-            "ej": list(self.ej),
-            "ej_raw": list(self.ej_raw),
-            "ek": list(self.ek),
-            "ek_raw": list(self.ek_raw),
-            "er": list(self.er),
-            "er_raw": list(self.er_raw),
-            "spectrum": list(self.spectrum),
-            "spectrum_raw": list(self.spectrum_raw),
-            "brackets": [
-                {
-                    "p": b.p,
-                    "lower_j": b.lower_j,
-                    "lower_jk": b.lower_jk,
-                    "upper_jk": b.upper_jk,
-                    "upper_j": b.upper_j,
-                }
-                for b in self.brackets
-            ],
-            "p0_chain": {
-                "ek1": self.p0.ek1,
-                "var": self.p0.var,
-                "ej1": self.p0.ej1,
-                "half_ek2": self.p0.half_ek2,
-                "bias": self.p0.bias,
-                "half_ej2": self.p0.half_ej2,
-            },
-            "identity_residuals": {
-                "alternating_series": self.residuals.alternating_series,
-                "mixed_series": self.residuals.mixed_series,
-                "projected_series": self.residuals.projected_series,
-                "prefix_recursion": self.residuals.prefix_recursion,
-                "spectrum_cross": self.residuals.spectrum_cross,
-            },
-            "corollary": (
-                None
-                if self.corollary is None
-                else {
-                    "degree": self.corollary.degree,
-                    "lower": self.corollary.lower,
-                    "upper": self.corollary.upper,
-                }
-            ),
-        }
+        return _as_lists(asdict(self))
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoundsReport":
-        cor = d["corollary"]
-        return cls(
-            n=int(d["n"]),
-            mean=float(d["mean"]),
-            var_exact=float(d["var_exact"]),
-            scale=float(d["scale"]),
-            ej=tuple(d["ej"]),
-            ej_raw=tuple(d["ej_raw"]),
-            ek=tuple(d["ek"]),
-            ek_raw=tuple(d["ek_raw"]),
-            er=tuple(d["er"]),
-            er_raw=tuple(d["er_raw"]),
-            spectrum=tuple(d["spectrum"]),
-            spectrum_raw=tuple(d["spectrum_raw"]),
-            brackets=tuple(
-                Bracket(
-                    p=int(b["p"]),
-                    lower_j=b["lower_j"],
-                    lower_jk=b["lower_jk"],
-                    upper_jk=b["upper_jk"],
-                    upper_j=b["upper_j"],
-                )
-                for b in d["brackets"]
-            ),
-            p0=P0Chain(**d["p0_chain"]),
-            residuals=IdentityResiduals(**d["identity_residuals"]),
-            corollary=None if cor is None else DegreeBound(**cor),
-        )
+        return _load(cls, d)
 
 
 def exact_report(cache: CondExpCache, p_values=None) -> BoundsReport:
     """Run the whole exact engine on one cached instance."""
-    jack = jackknife_spectrum(cache)
-    decomp = decompose(cache)
-    var_exact = variance(cache.base)
-    mean = expectation(cache.base)
+    spectrum_raw = degree_spectrum(cache)
     scale = cache.scale
+    jack = JackknifeSpectrum.from_spectrum(spectrum_raw, scale)
+    var_exact = variance(cache.base)
 
-    snap = tuple(
-        0.0 if abs(v) < SPECTRUM_ZERO_REL * scale else v for v in decomp.spectrum
-    )
     alternating, mixed, projected = variance_identities(jack, var_exact)
     residuals = IdentityResiduals(
         alternating_series=alternating,
         mixed_series=mixed,
         projected_series=projected,
         prefix_recursion=recursion_check(jack, var_exact),
-        spectrum_cross=spectrum_identities(decomp.spectrum, jack).max_residual,
+        spectrum_cross=spectrum_identities(spectrum_raw, jack).max_residual,
     )
     if p_values is None:
         brackets = all_brackets(jack)
@@ -323,19 +278,16 @@ def exact_report(cache: CondExpCache, p_values=None) -> BoundsReport:
         brackets = tuple(partial_sum_bracket(jack, p) for p in p_values)
     return BoundsReport(
         n=jack.n,
-        mean=mean,
+        mean=expectation(cache.base),
         var_exact=var_exact,
         scale=scale,
         ej=jack.ej,
-        ej_raw=jack.ej_raw,
         ek=jack.ek,
-        ek_raw=jack.ek_raw,
         er=jack.er,
-        er_raw=jack.er_raw,
-        spectrum=snap,
-        spectrum_raw=decomp.spectrum,
+        spectrum=tuple(0.0 if abs(v) < SPECTRUM_ZERO_REL * scale else v for v in spectrum_raw),
+        spectrum_raw=spectrum_raw,
         brackets=brackets,
-        p0=p0_chain(jack, var_exact),
-        residuals=residuals,
-        corollary=degree_bound(decomp.spectrum, jack, var_exact, scale),
+        p0_chain=p0_chain(jack, var_exact),
+        identity_residuals=residuals,
+        corollary=degree_bound(spectrum_raw, jack, var_exact, scale),
     )

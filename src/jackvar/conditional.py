@@ -189,22 +189,6 @@ class CondExpCache:
             arr = np.where(arr < 0.0, 0.0, arr)
         return arr
 
-    def clamp_scalar(self, x: float, context: str) -> float:
-        if x < -self.clamp_eps:
-            raise ConsistencyError(
-                f"{context}: value {x} below -{self.clamp_eps}; "
-                "a convexity-guaranteed non-negative quantity went negative"
-            )
-        return 0.0 if x < 0.0 else x
-
-
-def cond_expect(cache: CondExpCache, indices) -> FieldTable:
-    return cache.cond_expect(indices)
-
-
-def prefix_expect(cache: CondExpCache, i: int) -> FieldTable:
-    return cache.prefix_expect(i)
-
 
 def iterated_variance(cache: CondExpCache, indices) -> FieldTable:
     """Iterated conditional variance of the base along a coordinate set.

@@ -10,33 +10,74 @@ components are pairwise orthogonal, so the variance splits by degree:
 
     Var S = sum_d Var f_d,   Var f_d = sum_{|I|=d} E h_I^2.
 
-Components are computed by Moebius inclusion-exclusion over conditional
-means, h_I = sum_{J subset I} (-1)^{|I|-|J|} E[S | X_J], one pass over the
-memo cache and trivially order-independent.  (The test suite checks this
-against the recursive peel-off construction.)
-
-The degree spectrum is the discrete analogue of Sobol variance components;
-the cross-identities with the jackknife moments,
+The subset masses E h_I^2 are the one exact path of the library:
+`subset_masses` gets all 2^n of them from one orthonormal change of basis
+per axis, without building any component table.  The degree spectrum is
+their sum by degree, and every jackknife moment is a linear image of the
+spectrum (Hoeffding 1948; Efron & Stein 1981):
 
     total_k / k!     = sum_{j>=k} C(j,k) Var f_j
     projected_k / k! = Var f_k
     total_k          = sum_{j>=k} projected_j / (j-k)!
 
-are the strongest global consistency checks the library has, and
-`spectrum_identities` evaluates all three.
+`spectrum_identities` evaluates all three.  On moments derived from the
+masses they hold by construction; `selfcheck` runs them against moments
+summed from their subset definitions, which is where they test something.
+
+The component tables themselves (`decompose`) are built by Moebius
+inclusion-exclusion over conditional means, h_I = sum_{J subset I}
+(-1)^{|I|-|J|} E[S | X_J]; the tests check them against the recursive
+peel-off construction and their masses against `subset_masses`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .conditional import CondExpCache
-from .jackknife import JackknifeSpectrum
-from .model import FieldTable, IndexSet, ModelError, as_index_set
+from .conditional import CondExpCache, axis_mean
+from .model import FieldTable, IndexSet, ModelError, ProductSpace, as_index_set
+
+if TYPE_CHECKING:
+    from .jackknife import JackknifeSpectrum
+
+
+def subset_masses(space: ProductSpace, arr) -> np.ndarray:
+    """E h_I^2 for every coordinate subset I, indexed by bitmask.
+
+    Bit c-1 of the index marks coordinate c.  Entry 0 is (E S)^2; the
+    other entries sum to Var S.  Each axis is expanded in an orthonormal
+    basis of L2(p_c): the constant coefficient is the axis mean and the
+    m_c - 1 others project the centred residual onto an orthonormal
+    completion of sqrt(p_c).  Squaring every coefficient and folding each
+    axis into {constant, non-constant} leaves the 2^n masses.
+    """
+    coeffs = np.asarray(arr, dtype=np.float64)
+    for c in range(1, space.n + 1):
+        axis = c - 1
+        root = np.sqrt(space.axis_probs(c))
+        q, _ = np.linalg.qr(np.column_stack([root, np.eye(root.size)]))
+        basis = root[:, None] * q[:, 1:]
+        mean = axis_mean(space, coeffs, c)
+        resid = np.moveaxis(coeffs - mean, axis, -1) @ basis
+        coeffs = np.concatenate(
+            [mean.take([0], axis=axis), np.moveaxis(resid, -1, axis)], axis=axis
+        )
+    sq = coeffs * coeffs
+    for axis in range(space.n):
+        head, tail = np.split(sq, [1], axis=axis)
+        sq = np.concatenate([head, tail.sum(axis=axis, keepdims=True)], axis=axis)
+    return sq.ravel(order="F")
+
+
+def _by_degree(masses: np.ndarray, n: int) -> tuple[float, ...]:
+    """Sum the nonempty subset masses by subset size d = 1..n."""
+    mask = np.arange(masses.size)
+    degree = sum((mask >> c) & 1 for c in range(n))
+    return tuple(np.bincount(degree, weights=masses, minlength=n + 1)[1:].tolist())
 
 
 def hoeffding_component(cache: CondExpCache, indices) -> FieldTable:
@@ -107,29 +148,21 @@ class HoeffdingDecomposition:
 
 
 def decompose(cache: CondExpCache) -> HoeffdingDecomposition:
-    """Compute every component and the degree spectrum in one sweep."""
-    space = cache.space
-    n = space.n
-    w = space.joint_weights()
-    components: dict[IndexSet, FieldTable] = {}
-    masses: dict[IndexSet, float] = {}
-    per_degree: list[list[float]] = [[] for _ in range(n)]
-    for mask in range(1, 1 << n):
-        iset = IndexSet.from_mask(mask)
-        tab = hoeffding_component(cache, iset)
-        m = float(np.sum(w * tab.array * tab.array))
-        components[iset] = tab
-        masses[iset] = m
-        per_degree[len(iset) - 1].append(m)
-    spectrum = tuple(float(np.sum(np.asarray(v))) if v else 0.0 for v in per_degree)
+    """Every component table, with masses and spectrum from `subset_masses`."""
+    n = cache.space.n
+    masses = subset_masses(cache.space, cache.base.array)
+    subsets = {mask: IndexSet.from_mask(mask) for mask in range(1, 1 << n)}
     return HoeffdingDecomposition(
-        mean=cache.mean(), components=components, spectrum=spectrum, masses=masses
+        mean=cache.mean(),
+        components={iset: hoeffding_component(cache, iset) for iset in subsets.values()},
+        spectrum=_by_degree(masses, n),
+        masses={iset: float(masses[mask]) for mask, iset in subsets.items()},
     )
 
 
 def degree_spectrum(cache: CondExpCache) -> tuple[float, ...]:
     """Variance carried by each interaction degree d = 1..n."""
-    return decompose(cache).spectrum
+    return _by_degree(subset_masses(cache.space, cache.base.array), cache.space.n)
 
 
 @dataclass(frozen=True)

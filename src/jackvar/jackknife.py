@@ -1,8 +1,7 @@
 """Iterated jackknife moments and the classical data-side jackknife.
 
-Three families of expected moments, all sums over sorted k-subsets I of the
-coordinates (combinatorial weights are exact integers; n is capped well
-inside 64-bit factorial range):
+Three families of expected moments, defined as sums over sorted k-subsets I
+of the coordinates:
 
   * iterated_jackknife  E[ k! * sum_I var(I) S ]            -- order-k total
   * projected_jackknife E[ k! * sum_I var(I) avg_{~I} S ]   -- S first
@@ -14,20 +13,30 @@ The projected moment never exceeds the total one (Jensen), and the prefix
 family interpolates: total/k! >= prefix >= projected/k!, with the telescoping
 recursion prefix_k = total_{k-1}/(k-1)! - prefix_{k-1} checked in `bounds`.
 
-Subset sums collect one scalar per subset in combination order and reduce
-with a single np.sum (pairwise summation), so results are deterministic and
-independent of any internal parallelism.
+None of the three is computed from its definition here.  E var(I) S is the
+Hoeffding mass of the supersets of I, so every family is a linear image of
+the degree spectrum s (`hoeffding.subset_masses`):
+
+    EK_k = k! s_k,   EJ_k = k! sum_{j>=k} C(j,k) s_j,
+    ER_k = sum_{j>=k} C(j-1,k-1) s_j.
+
+Sums of squares cannot go negative, so no clamping is needed.  The
+definitional subset sums run in `selfcheck.check_instance` and the tests,
+as the independent oracle for these closed forms, together with
+`iterated_difference_moment`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conditional import CondExpCache, var_sequence
+# var_sequence is not called here.  The name stays bound because perfbench's
+# tracer counts calls made through it, which shows the engine makes none.
+from .conditional import CondExpCache, var_sequence  # noqa: F401
+from .hoeffding import degree_spectrum
 from .model import (
     ConsistencyError,
     ModelError,
@@ -39,77 +48,56 @@ from .model import (
 
 @dataclass(frozen=True)
 class JackknifeSpectrum:
-    """All three moment families for k = 1..n, clamped and raw.
-
-    Raw values are the straight floating-point sums; the clamped ones zero
-    out anything in [-eps, 0) (the quantities are non-negative by
-    convexity, and anything below -eps raises instead).
-    """
+    """All three moment families for k = 1..n."""
 
     n: int
     scale: float
     ej: tuple[float, ...]
     ek: tuple[float, ...]
     er: tuple[float, ...]
-    ej_raw: tuple[float, ...]
-    ek_raw: tuple[float, ...]
-    er_raw: tuple[float, ...]
+
+    @classmethod
+    def from_spectrum(cls, spectrum, scale: float) -> "JackknifeSpectrum":
+        """The three families from the degree spectrum by their closed forms."""
+        s = tuple(float(x) for x in spectrum)
+        n = len(s)
+        orders = range(1, n + 1)
+        return cls(
+            n=n,
+            scale=scale,
+            ej=tuple(
+                math.factorial(k) * math.fsum(math.comb(j, k) * s[j - 1] for j in range(k, n + 1))
+                for k in orders
+            ),
+            ek=tuple(math.factorial(k) * s[k - 1] for k in orders),
+            er=tuple(
+                math.fsum(math.comb(j - 1, k - 1) * s[j - 1] for j in range(k, n + 1))
+                for k in orders
+            ),
+        )
 
 
-def _check_k(cache: CondExpCache, k: int) -> int:
+def jackknife_spectrum(cache: CondExpCache) -> JackknifeSpectrum:
+    """All three families for every order, from one pass over the masses."""
+    return JackknifeSpectrum.from_spectrum(degree_spectrum(cache), cache.scale)
+
+
+def _check_k(cache: CondExpCache, k: int) -> None:
     n = cache.space.n
     if not 1 <= k <= n:
         raise ModelError(f"order k={k} out of range 1..{n}")
-    return n
-
-
-def _subset_sum(cache: CondExpCache, k: int, source_arr) -> float:
-    """Sum of E[var(I) g_I] over sorted k-subsets; g_I = source_arr(subset)."""
-    space = cache.space
-    w = space.joint_weights()
-    terms = [
-        float(np.sum(w * var_sequence(space, source_arr(subset), subset)))
-        for subset in itertools.combinations(range(1, space.n + 1), k)
-    ]
-    return float(np.sum(np.asarray(terms)))
-
-
-def _raw_ej(cache: CondExpCache, k: int) -> float:
-    base = cache.base.array
-    return math.factorial(k) * _subset_sum(cache, k, lambda s: base)
-
-
-def _raw_ek(cache: CondExpCache, k: int) -> float:
-    n = cache.space.n
-    full = (1 << n) - 1
-
-    def projected(subset):
-        mask = 0
-        for i in subset:
-            mask |= 1 << (i - 1)
-        return cache._expect_mask(full & ~mask).array
-
-    return math.factorial(k) * _subset_sum(cache, k, projected)
-
-
-def _raw_er(cache: CondExpCache, k: int) -> float:
-    def smoothed(subset):
-        prefix_mask = (1 << (subset[0] - 1)) - 1
-        return cache._expect_mask(prefix_mask).array
-
-    return _subset_sum(cache, k, smoothed)
 
 
 def iterated_jackknife(cache: CondExpCache, k: int) -> float:
     """k! times the sum over sorted k-subsets of E[var(I) base]."""
     _check_k(cache, k)
-    return cache.clamp_scalar(_raw_ej(cache, k), f"iterated_jackknife(k={k})")
+    return jackknife_spectrum(cache).ej[k - 1]
 
 
 def projected_jackknife(cache: CondExpCache, k: int) -> float:
     """Same sum with the base first averaged over each subset's complement."""
     _check_k(cache, k)
-    return cache.clamp_scalar(_raw_ek(cache, k), f"projected_jackknife(k={k})")
+    return jackknife_spectrum(cache).ek[k - 1]
 
 
 def prefix_jackknife(cache: CondExpCache, k: int) -> float:
@@ -118,35 +106,10 @@ def prefix_jackknife(cache: CondExpCache, k: int) -> float:
     For k=1 this telescopes to the plain variance of the base.
     """
     _check_k(cache, k)
-    return cache.clamp_scalar(_raw_er(cache, k), f"prefix_jackknife(k={k})")
+    return jackknife_spectrum(cache).er[k - 1]
 
 
-def jackknife_spectrum(cache: CondExpCache) -> JackknifeSpectrum:
-    """All three families for every order, one pass."""
-    n = cache.space.n
-    ej_raw = tuple(_raw_ej(cache, k) for k in range(1, n + 1))
-    ek_raw = tuple(_raw_ek(cache, k) for k in range(1, n + 1))
-    er_raw = tuple(_raw_er(cache, k) for k in range(1, n + 1))
-    clamp = cache.clamp_scalar
-    return JackknifeSpectrum(
-        n=n,
-        scale=cache.scale,
-        ej=tuple(clamp(x, f"ej[{i+1}]") for i, x in enumerate(ej_raw)),
-        ek=tuple(clamp(x, f"ek[{i+1}]") for i, x in enumerate(ek_raw)),
-        er=tuple(clamp(x, f"er[{i+1}]") for i, x in enumerate(er_raw)),
-        ej_raw=ej_raw,
-        ek_raw=ek_raw,
-        er_raw=er_raw,
-    )
-
-
-def iterated_difference_moment(
-    space: ProductSpace,
-    statistic: Statistic,
-    indices,
-    exact: bool = True,
-    config=None,
-) -> float:
+def iterated_difference_moment(space: ProductSpace, statistic: Statistic, indices) -> float:
     """Second moment of the iterated replace-one difference over a subset.
 
     The difference replaces each subset coordinate in turn by an independent
@@ -155,20 +118,14 @@ def iterated_difference_moment(
     Its second moment equals 2^|I| times E[var(I) S], which is what makes it
     an engine-independent oracle for the conditional machinery.
 
-    Exact mode enumerates the extended grid (base outcomes times one fresh
-    copy axis per subset coordinate) and fails if that grid exceeds the
-    space's outcome cap.  With exact=False a Monte Carlo estimate is
-    returned instead (see `mc.estimate_difference_moment`).
+    It enumerates the extended grid (base outcomes times one fresh copy
+    axis per subset coordinate) and fails if that grid exceeds the space's
+    outcome cap; `mc.estimate_difference_moment` samples the same moment.
     """
     iset = as_index_set(indices).check_range(space.n)
     k = len(iset)
     if k == 0:
         raise ModelError("difference moment needs a nonempty index set")
-    if not exact:
-        from . import mc
-
-        cfg = config if config is not None else mc.McConfig(seed=0, outer_samples=10000)
-        return mc.estimate_difference_moment(space, statistic, iset, cfg).mean
 
     copy_sizes = tuple(space.shape[i - 1] for i in iset)
     ext_count = space.n_outcomes
@@ -203,20 +160,23 @@ def iterated_difference_moment(
 def classical_jackknife(values) -> float:
     """Centered sum of squares of observed resampled values.
 
-    Returns sum_i (v_i - vbar)^2 and verifies on every call that it equals
-    the pairwise form sum_{i<j} (v_i - v_j)^2 / m (m = number of values);
-    disagreement beyond 1e-12 relative raises ConsistencyError.  This is a
-    pure data-side statistic: it never touches a product space.
+    Returns sum_i (v_i - vbar)^2, which equals the pairwise form
+    sum_{i<j} (v_i - v_j)^2 / m (m = number of values).  Every call checks
+    the numpy sum against a two-pass `math.fsum` evaluation (correctly
+    rounded mean, then correctly rounded sum of squares); disagreement
+    beyond 1e-12 relative raises ConsistencyError.  Time and memory are
+    O(m).  This is a pure data-side statistic: it never touches a product
+    space.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size < 2:
         raise ModelError("classical jackknife needs a flat list of at least 2 values")
     centered = v - v.mean()
     total = float(np.sum(centered * centered))
-    diffs = v[:, None] - v[None, :]
-    pairwise = float(np.sum(diffs * diffs)) / (2.0 * v.size)
-    if abs(total - pairwise) > 1e-12 * max(1.0, abs(total), abs(pairwise)):
+    mean = math.fsum(v.tolist()) / v.size
+    two_pass = math.fsum(((v - mean) ** 2).tolist())
+    if abs(total - two_pass) > 1e-12 * max(1.0, abs(total), abs(two_pass)):
         raise ConsistencyError(
-            f"centered form {total} and pairwise form {pairwise} disagree"
+            f"centered form {total} and two-pass form {two_pass} disagree"
         )
     return total

@@ -9,6 +9,13 @@ normalized by the instance scale max(1, E S^2).
 Exact identities must hold to 1e-9 * scale; inequality chains may be
 violated by at most 1e-10 * scale.  Degenerate instances (point masses,
 constant statistics) are legitimate draws and must pass like any other.
+
+The library computes every jackknife moment from the Hoeffding subset
+masses.  This module is where the independent paths run: it sums the three
+moment families from their subset definitions (recursive iterated
+variances, projected and prefix-smoothed), runs the series, recursion and
+spectrum identities on those sums, and compares them with the mass-derived
+moments (`oracle_vs_masses`).
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from .conditional import (
     var_sequence,
 )
 from .hoeffding import decompose, spectrum_identities
-from .jackknife import iterated_difference_moment, jackknife_spectrum
+from .jackknife import JackknifeSpectrum, iterated_difference_moment, jackknife_spectrum
 from .model import (
     DiscreteDistribution,
     IndexSet,
@@ -102,25 +109,18 @@ def check_instance(space, statistic, perm_rng: np.random.Generator) -> InstanceC
     def _amax(arr) -> float:
         return float(np.max(np.abs(arr))) if np.size(arr) else 0.0
 
-    # series identities for the exact variance
-    alt, mixed, proj = variance_identities(jack, var_exact)
-    res["alternating_series"] = alt
-    res["mixed_series"] = mixed
-    res["projected_series"] = proj
-    res["prefix_recursion"] = recursion_check(jack, var_exact)
-
-    spec_res = spectrum_identities(decomp.spectrum, jack)
-    res["spectrum_total"] = max(spec_res.total_vs_spectrum)
-    res["spectrum_projected"] = max(spec_res.projected_vs_spectrum)
-    res["spectrum_mix"] = max(spec_res.total_vs_projected)
-
-    # per-subset machinery
+    # per-subset machinery, and the moment families summed from their
+    # definitions: E var(I) of the base, of the base projected onto I, and
+    # of the base averaged over the coordinates before min(I)
     var_tables = {}
     paths = 0.0
     orders = 0.0
     superset = 0.0
     diff = 0.0
     jensen = 0.0
+    total_terms = [[] for _ in range(n)]
+    projected_terms = [[] for _ in range(n)]
+    prefix_terms = [[] for _ in range(n)]
     for mask in range(1, 1 << n):
         iset = IndexSet.from_mask(mask)
         rec = iterated_variance(cache, iset)
@@ -134,17 +134,47 @@ def check_instance(space, statistic, perm_rng: np.random.Generator) -> InstanceC
             orders = max(orders, _amax(rec.array - permuted.array))
         e_var = float(np.sum(w * rec.array))
         superset = max(superset, abs(e_var - decomp.superset_mass(iset)))
-        moment = iterated_difference_moment(space, statistic, iset, exact=True)
+        moment = iterated_difference_moment(space, statistic, iset)
         diff = max(diff, abs(moment / 2.0 ** len(iset) - e_var))
+        projected = cache._expect_mask(full & ~mask).array
+        e_var_projected = float(np.sum(w * var_sequence(space, projected, iset.indices)))
         prefix_mask = (1 << (iset.indices[0] - 1)) - 1
         smoothed = cache._expect_mask(prefix_mask).array
         e_var_smoothed = float(np.sum(w * var_sequence(space, smoothed, iset.indices)))
         jensen = max(jensen, e_var_smoothed - e_var)
+        total_terms[len(iset) - 1].append(e_var)
+        projected_terms[len(iset) - 1].append(e_var_projected)
+        prefix_terms[len(iset) - 1].append(e_var_smoothed)
     res["variance_paths"] = paths
     res["order_permutation"] = orders
     res["superset_mass"] = superset
     res["difference_moment"] = diff
     vio["jensen_prefix"] = max(jensen, 0.0)
+
+    oracle = JackknifeSpectrum(
+        n=n,
+        scale=scale,
+        ej=tuple(math.factorial(k) * math.fsum(t) for k, t in enumerate(total_terms, 1)),
+        ek=tuple(math.factorial(k) * math.fsum(t) for k, t in enumerate(projected_terms, 1)),
+        er=tuple(math.fsum(t) for t in prefix_terms),
+    )
+    res["oracle_vs_masses"] = max(
+        abs(a - b)
+        for family in ("ej", "ek", "er")
+        for a, b in zip(getattr(oracle, family), getattr(jack, family))
+    )
+
+    # series identities for the exact variance, on the definitional sums
+    alt, mixed, proj = variance_identities(oracle, var_exact)
+    res["alternating_series"] = alt
+    res["mixed_series"] = mixed
+    res["projected_series"] = proj
+    res["prefix_recursion"] = recursion_check(oracle, var_exact)
+
+    spec_res = spectrum_identities(decomp.spectrum, oracle)
+    res["spectrum_total"] = max(spec_res.total_vs_spectrum)
+    res["spectrum_projected"] = max(spec_res.projected_vs_spectrum)
+    res["spectrum_mix"] = max(spec_res.total_vs_projected)
 
     # two-index decomposition: var(i,j) = avg_ij (S - avg_ij S)^2
     #                                      - var(i) avg_j S - var(j) avg_i S

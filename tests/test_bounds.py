@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import jackvar as jv
+from jackvar import conditional, hoeffding, jackknife
 from jackvar.selfcheck import random_instance
 
 
@@ -159,7 +160,7 @@ class TestReport:
         assert rep.ej == (2.0, 2.0)
         assert rep.ek == (0.0, 2.0)
         assert rep.spectrum == (0.0, 1.0)
-        assert rep.residuals.max_residual <= 1e-12
+        assert rep.identity_residuals.max_residual <= 1e-12
 
     def test_round_trip_field_for_field(self, u2_cache):
         rep = jv.exact_report(u2_cache)
@@ -184,3 +185,32 @@ class TestReport:
     def test_selected_p_values(self, u2_cache):
         rep = jv.exact_report(u2_cache, p_values=[1])
         assert [b.p for b in rep.brackets] == [1]
+
+    def test_binary_n14_table(self):
+        rng = np.random.Generator(np.random.Philox(key=113))
+        space = jv.build_space(
+            [jv.DiscreteDistribution([0.0, 1.0], [p, 1.0 - p]) for p in rng.uniform(0.05, 0.95, 14)]
+        )
+        values = rng.uniform(-1.0, 1.0, space.n_outcomes)
+        cache = jv.CondExpCache(jv.tabulate(jv.Statistic.table(values), space))
+        rep = jv.exact_report(cache)
+        tol = 1e-9 * cache.scale
+        slack = 1e-10 * cache.scale
+        assert rep.identity_residuals.max_residual <= tol
+        assert len(rep.brackets) == 7
+        chains = [(b.lower_j, b.lower_jk, rep.var_exact, b.upper_jk, b.upper_j) for b in rep.brackets]
+        p0 = rep.p0_chain
+        chains += [(0.0, p0.ek1, p0.var, p0.ej1), (0.0, p0.half_ek2, p0.bias, p0.half_ej2)]
+        for chain in chains:
+            assert all(lo <= hi + slack for lo, hi in zip(chain, chain[1:])), chain
+
+    def test_builds_no_tables(self, u2_cache, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exact report path built a table")
+
+        for module, name in ((conditional, "var_sequence"), (jackknife, "var_sequence"),
+                             (hoeffding, "hoeffding_component"), (hoeffding, "decompose")):
+            monkeypatch.setattr(module, name, refuse)
+        jv.exact_report(u2_cache)
+        jv.jackknife_spectrum(u2_cache)
+        jv.degree_spectrum(u2_cache)

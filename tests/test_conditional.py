@@ -240,13 +240,6 @@ class TestClamping:
         with pytest.raises(jv.ConsistencyError):
             u2_cache.clamp(arr, "test")
 
-    def test_scalar_policy(self, u2_cache):
-        eps = u2_cache.clamp_eps
-        assert u2_cache.clamp_scalar(-0.5 * eps, "t") == 0.0
-        assert u2_cache.clamp_scalar(1.5, "t") == 1.5
-        with pytest.raises(jv.ConsistencyError):
-            u2_cache.clamp_scalar(-2.5 * eps, "t")
-
 
 def test_exact_mode_n_cap():
     d = jv.DiscreteDistribution.point_mass(0.0)

@@ -117,6 +117,43 @@ class TestAgainstBruteforce:
                     assert g == pytest.approx(want[idx], abs=1e-10)
 
 
+class TestSubsetMasses:
+    def test_match_residualization_masses(self):
+        # mixed supports, including a zero-probability value and a one-point
+        # coordinate; the oracle squares its peeled-off components
+        rng = np.random.Generator(np.random.Philox(key=127))
+        laws = [
+            jv.DiscreteDistribution([-1.0, 0.5, 2.0], [0.3, 0.0, 0.7]),
+            jv.DiscreteDistribution.point_mass(0.25),
+            jv.DiscreteDistribution([0.0, 1.0], [0.2, 0.8]),
+            jv.DiscreteDistribution([-2.0, -1.0, 1.0, 3.0], [0.1, 0.4, 0.3, 0.2]),
+        ]
+        for _ in range(6):
+            picks = rng.permutation(len(laws))[: int(rng.integers(1, 4))]
+            space = jv.build_space([laws[i] for i in picks])
+            values = rng.uniform(-1.0, 1.0, space.n_outcomes)
+            masses = jv.subset_masses(space, jv.tabulate(jv.Statistic.table(values), space).array)
+            bs = bf.BruteSpace([d.support for d in space.dists], [d.probs for d in space.dists])
+            table = dict(zip(bs.indices, values))
+            total, comps = bf.hoeffding_components(bs, table)
+            assert masses.shape == (1 << space.n,)
+            assert masses[0] == pytest.approx(total**2, abs=1e-12)
+            for subset, h in comps.items():
+                want = bf.mean(bs, {idx: v * v for idx, v in h.items()})
+                assert masses[jv.IndexSet(subset).mask] == pytest.approx(want, abs=1e-12)
+
+    def test_constant_has_no_variance_mass(self, rad2):
+        table = jv.tabulate(jv.Statistic.table([1.5] * 4), rad2)
+        assert jv.subset_masses(rad2, table.array).tolist() == [2.25, 0.0, 0.0, 0.0]
+
+    def test_decompose_masses_match_components(self, instances):
+        for cache, decomp in instances:
+            w = cache.space.joint_weights()
+            for iset, comp in decomp.components.items():
+                squared = float(np.sum(w * comp.array**2))
+                assert abs(decomp.mass(iset) - squared) <= 1e-9 * cache.scale
+
+
 class TestSpectrumIdentities:
     def test_zero_residual_on_fixtures(self, prod_cache, u2_cache):
         for cache in (prod_cache, u2_cache):

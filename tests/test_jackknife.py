@@ -84,6 +84,28 @@ class TestPrefixMoments:
                 assert kf * jack.er[k - 1] <= jack.ej[k - 1] + tol
 
 
+class TestAgainstBruteforce:
+    def test_moments_match_definitions(self):
+        # the engine derives every family from the subset masses; the oracle
+        # sums the recursive iterated variances subset by subset
+        rng = np.random.Generator(np.random.Philox(key=131))
+        for _ in range(4):
+            dists = []
+            for _ in range(int(rng.integers(1, 4))):
+                m = int(rng.integers(1, 4))
+                dists.append(jv.DiscreteDistribution(rng.uniform(-1, 1, m), rng.dirichlet(np.ones(m))))
+            space = jv.build_space(dists)
+            values = rng.uniform(-1.0, 1.0, space.n_outcomes)
+            cache = jv.CondExpCache(jv.tabulate(jv.Statistic.table(values), space))
+            jack = jv.jackknife_spectrum(cache)
+            bs = bf.BruteSpace([d.support for d in dists], [d.probs for d in dists])
+            table = dict(zip(bs.indices, values))
+            for k in range(1, space.n + 1):
+                assert jack.ej[k - 1] == pytest.approx(bf.expected_j(bs, table, k), abs=1e-12)
+                assert jack.ek[k - 1] == pytest.approx(bf.expected_k(bs, table, k), abs=1e-12)
+                assert jack.er[k - 1] == pytest.approx(bf.expected_r(bs, table, k), abs=1e-12)
+
+
 class TestDifferenceMoment:
     def test_rad2_prod_single(self, rad2, prod_stat):
         assert jv.iterated_difference_moment(rad2, prod_stat, [1]) == pytest.approx(
@@ -130,7 +152,7 @@ class TestDifferenceMoment:
 
     def test_sampled_mode_close(self, rad3, u2_stat):
         cfg = jv.McConfig(seed=9, outer_samples=20000)
-        est = jv.iterated_difference_moment(rad3, u2_stat, [1, 2], exact=False, config=cfg)
+        est = jv.estimate_difference_moment(rad3, u2_stat, [1, 2], cfg).mean
         exact = jv.iterated_difference_moment(rad3, u2_stat, [1, 2])
         assert abs(est - exact) < 0.5
 
@@ -209,3 +231,9 @@ class TestClassicalJackknife:
             assert jv.classical_jackknife(v) == pytest.approx(
                 bf.classical_jackknife(v.tolist()), abs=1e-11
             )
+
+    def test_million_values(self):
+        # the self-check is O(m): no m x m matrix
+        v = np.random.Generator(np.random.Philox(key=137)).normal(3.0, 2.0, 10**6)
+        want = bf.classical_jackknife(v.tolist())
+        assert jv.classical_jackknife(v) == pytest.approx(want, rel=1e-9)

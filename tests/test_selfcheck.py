@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 
 import jackvar as jv
+from jackvar import selfcheck
 from jackvar.selfcheck import (
     IDENTITY_TOL,
     INEQUALITY_TOL,
@@ -62,3 +65,19 @@ def test_instance_config_replays():
     assert np.array_equal(
         jv.tabulate(cfg.statistic, cfg.space).values, jv.tabulate(stat, space).values
     )
+
+
+def test_oracle_catches_a_wrong_mass_path(monkeypatch):
+    # the series identities run on the definitional sums, so a wrong
+    # mass-derived moment shows only in the oracle comparison
+    right = selfcheck.jackknife_spectrum
+
+    def wrong(cache):
+        jack = right(cache)
+        return dataclasses.replace(jack, ek=(jack.ek[0] + 1e-6,) + jack.ek[1:])
+
+    monkeypatch.setattr(selfcheck, "jackknife_spectrum", wrong)
+    space, stat = random_instance(np.random.Generator(np.random.Philox(key=3)))
+    checks = check_instance(space, stat, np.random.Generator(np.random.Philox(key=4)))
+    assert checks.residuals["oracle_vs_masses"] > IDENTITY_TOL
+    assert checks.residuals["projected_series"] <= IDENTITY_TOL
