@@ -10,7 +10,9 @@ Each bracket is tightened by one projected-moment correction:
 
 The statement ranges p up to floor(n/2) but the lower correction references
 order 2p+1; when 2p+1 > n (even n, p = n/2) the correction is defined as 0,
-the unique value consistent with the exact identities.
+the unique value consistent with the exact identities.  `bracket_terms`
+is the one place these orders, signs and factorials are written down; the
+exact report and the Monte Carlo bracket estimates both evaluate it.
 
 Whether brackets are nested as p grows is not asserted anywhere: every
 bracket is reported and only each p's own validity is guaranteed.
@@ -109,24 +111,40 @@ class DegreeBound:
     upper: float
 
 
-def _alternating_partial(jack: JackknifeSpectrum, upto: int) -> float:
-    return sum(
-        (-1.0) ** (k + 1) * jack.ej[k - 1] / math.factorial(k)
-        for k in range(1, upto + 1)
-    )
+def _alternating_terms(upto: int) -> tuple:
+    return tuple(("ej", k, (-1.0) ** (k + 1) / math.factorial(k)) for k in range(1, upto + 1))
+
+
+def bracket_terms(n: int, p: int) -> dict[str, tuple]:
+    """The (family, order, coefficient) terms of each bracket scalar at depth p.
+
+    Each scalar is sum coef * moment, where family "ej" is the total and
+    "ek" the projected moment of that order.  `partial_sum_bracket`
+    evaluates the terms on exact moments, `mc.assemble_bracket` on
+    estimates.
+    """
+    if not 1 <= p <= n // 2:
+        raise ModelError(f"p={p} out of range 1..{n // 2}")
+    upper_j = _alternating_terms(2 * p - 1)
+    lower_j = _alternating_terms(2 * p)
+    correction = (("ek", 2 * p + 1, 1.0 / math.factorial(2 * p + 1)),) if 2 * p + 1 <= n else ()
+    return {
+        "lower_j": lower_j,
+        "lower_jk": lower_j + correction,
+        "upper_jk": upper_j + (("ek", 2 * p, -1.0 / math.factorial(2 * p)),),
+        "upper_j": upper_j,
+    }
+
+
+def _evaluate(jack: JackknifeSpectrum, terms) -> float:
+    moments = {"ej": jack.ej, "ek": jack.ek}
+    return sum(coef * moments[family][k - 1] for family, k, coef in terms)
 
 
 def partial_sum_bracket(jack: JackknifeSpectrum, p: int) -> Bracket:
     """The four bracket scalars for one truncation depth p."""
-    n = jack.n
-    if not 1 <= p <= n // 2:
-        raise ModelError(f"p={p} out of range 1..{n // 2}")
-    lower_j = _alternating_partial(jack, 2 * p)
-    upper_j = _alternating_partial(jack, 2 * p - 1)
-    upper_jk = upper_j - jack.ek[2 * p - 1] / math.factorial(2 * p)
-    correction = jack.ek[2 * p] if 2 * p + 1 <= n else 0.0
-    lower_jk = lower_j + correction / math.factorial(2 * p + 1)
-    return Bracket(p=p, lower_j=lower_j, lower_jk=lower_jk, upper_jk=upper_jk, upper_j=upper_j)
+    terms = bracket_terms(jack.n, p)
+    return Bracket(p=p, **{side: _evaluate(jack, t) for side, t in terms.items()})
 
 
 def all_brackets(jack: JackknifeSpectrum) -> tuple[Bracket, ...]:
@@ -149,7 +167,7 @@ def p0_chain(jack: JackknifeSpectrum, var_exact: float) -> P0Chain:
 def variance_identities(jack: JackknifeSpectrum, var_exact: float) -> tuple[float, float, float]:
     """Residuals of the three exact series for Var S (alternating, mixed, projected)."""
     n = jack.n
-    alternating = abs(var_exact - _alternating_partial(jack, n))
+    alternating = abs(var_exact - _evaluate(jack, _alternating_terms(n)))
     mixed = abs(
         var_exact
         - (jack.ej[0] - sum((k - 1) / math.factorial(k) * jack.ek[k - 1] for k in range(2, n + 1)))

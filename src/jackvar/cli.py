@@ -44,8 +44,7 @@ from dataclasses import dataclass
 from . import __version__
 from .bounds import BoundsReport, exact_report
 from .conditional import EXACT_N_CAP, CondExpCache
-from .mc import McConfig, estimate_bracket, estimate_iterated_jackknife, \
-    estimate_projected_jackknife, estimate_variance
+from .mc import McConfig, assemble_bracket, estimate_variance, moment_estimates
 from .model import DiscreteDistribution, ModelError, ProductSpace, Statistic, \
     build_space, tabulate
 from .selfcheck import run_battery
@@ -83,6 +82,13 @@ def _reals(x, where: str) -> list[float]:
     return [float(v) for v in x]
 
 
+def _integer(x, where: str) -> int:
+    try:
+        return int(x)
+    except (TypeError, ValueError, OverflowError):  # NaN, Infinity, strings, objects
+        raise ConfigError(f"{where}: expected an integer, got {x!r}") from None
+
+
 def _parse_statistic(d, where: str) -> Statistic:
     kind = _need(d, "kind", where)
     params = d.get("params", {})
@@ -108,9 +114,10 @@ def _parse_statistic(d, where: str) -> Statistic:
                 raise ConfigError(f"{where}.params.terms: expected an array")
             parsed = []
             for t, term in enumerate(terms):
-                if not isinstance(term, list) or len(term) != 2:
+                if not isinstance(term, list) or len(term) != 2 or not isinstance(term[1], list):
                     raise ConfigError(f"{where}.params.terms[{t}]: expected [coef, [exponents]]")
-                parsed.append((float(term[0]), [int(e) for e in term[1]]))
+                exps = [_integer(e, f"{where}.params.terms[{t}]") for e in term[1]]
+                parsed.append((float(term[0]), exps))
             return Statistic.polynomial(parsed)
     except ModelError as e:
         raise ConfigError(f"{where}: {e}") from e
@@ -158,12 +165,17 @@ def parse_config(raw: dict) -> InstanceConfig:
         mc_raw = raw.get("mc")
         if not isinstance(mc_raw, dict):
             raise ConfigError("mc: section required when engine includes mc")
+        ks = mc_raw.get("ks")
+        if ks is not None:
+            if not isinstance(ks, list):
+                raise ConfigError("mc.ks: expected an array of integers")
+            ks = [_integer(k, "mc.ks") for k in ks]
         try:
             mc_cfg = McConfig(
-                seed=int(mc_raw.get("seed", 0)),
-                outer_samples=int(mc_raw.get("outer_samples", 10000)),
-                inner_pairs=int(mc_raw.get("inner_pairs", 1)),
-                ks=mc_raw.get("ks"),
+                seed=_integer(mc_raw.get("seed", 0), "mc.seed"),
+                outer_samples=_integer(mc_raw.get("outer_samples", 10000), "mc.outer_samples"),
+                inner_pairs=_integer(mc_raw.get("inner_pairs", 1), "mc.inner_pairs"),
+                ks=ks,
                 subset_mode=mc_raw.get("subset_mode", "auto"),
             )
         except ModelError as e:
@@ -220,17 +232,18 @@ def _mc_section(cfg: InstanceConfig) -> dict:
             d["flagged_negative"] = True
         return d
 
+    moment = moment_estimates(space, stat, mc_cfg)  # each (family, k) estimated once
     section = {
         "seed": mc_cfg.seed,
         "outer_samples": mc_cfg.outer_samples,
         "var": as_dict(estimate_variance(space, stat, mc_cfg)),
-        "ej": {str(k): as_dict(estimate_iterated_jackknife(space, stat, k, mc_cfg)) for k in ks},
-        "ek": {str(k): as_dict(estimate_projected_jackknife(space, stat, k, mc_cfg)) for k in ks},
+        "ej": {str(k): as_dict(moment("ej", k)) for k in ks},
+        "ek": {str(k): as_dict(moment("ek", k)) for k in ks},
     }
     p_values = cfg.p_values if cfg.p_values is not None else range(1, n // 2 + 1)
     brackets = []
     for p in p_values:
-        b = estimate_bracket(space, stat, p, mc_cfg)
+        b = assemble_bracket(n, p, moment)
         brackets.append(
             {
                 "p": b.p,
@@ -301,11 +314,15 @@ def cmd_run(args) -> int:
     t0 = time.perf_counter()
     report = None
     mc_section = None
-    if cfg.engine in ("exact", "both"):
-        cache = CondExpCache(tabulate(cfg.statistic, cfg.space))
-        report = exact_report(cache, p_values=cfg.p_values)
-    if cfg.engine in ("mc", "both"):
-        mc_section = _mc_section(cfg)
+    try:
+        if cfg.engine in ("exact", "both"):
+            cache = CondExpCache(tabulate(cfg.statistic, cfg.space))
+            report = exact_report(cache, p_values=cfg.p_values)
+        if cfg.engine in ("mc", "both"):
+            mc_section = _mc_section(cfg)
+    except ModelError as e:  # the statistic overflows on the grid or on sampled outcomes
+        print(f"error: {args.config}: statistic: {e}", file=sys.stderr)
+        return 1
     wall = time.perf_counter() - t0
 
     doc = {

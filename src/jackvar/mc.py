@@ -17,6 +17,18 @@ that key with the 256-bit counter preset to ``i << 128``.  Consequences:
     array (mean = sum / N), hence identical for any block partition of the
     same total.
 
+One block driver
+----------------
+An estimator is a stream tag, a count of uniforms per sample row, and a
+function from a block of uniform rows to one contribution per row.
+`_contributions` draws the rows BLOCK_ROWS at a time with `_uniform_block`,
+maps each block and concatenates; `_estimate_from` reduces once.  Memory
+is bounded by one block of uniforms, indices and statistic values, plus
+8 bytes per sample.  BLOCK_ROWS is a constant, not an option, because no
+partition changes a result; that holds because every step is row-local
+(`Statistic.on_indices` uses no BLAS product, whose rounding depends on
+the block shape).
+
 Estimator constructions
 -----------------------
 Order-k total moment: draw the coordinates and one independent copy per
@@ -33,16 +45,21 @@ averaged over `inner_pairs` completion pairs.  A nested mean-then-square
 would be biased; the pair-product form is exact in expectation, which is
 the point of this library.  Point estimates can come out negative on finite
 samples; they are reported unclamped and flagged.
+
+Brackets combine per-order estimates with the coefficients of
+`bounds.bracket_terms`, the same ones the exact engine uses.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import bracket_terms
 from .model import ModelError, ProductSpace, Statistic, as_index_set
 
 _MASK64 = (1 << 64) - 1
@@ -55,6 +72,7 @@ TAG_PROJECTED_BASE = 2 << 16  # + k
 TAG_DIFF_BASE = 3 << 16  # + subset bitmask
 
 ENUMERATE_SUBSET_LIMIT = 64
+BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -116,7 +134,7 @@ def _cdfs(space: ProductSpace) -> list[np.ndarray]:
     return [np.cumsum(space.axis_probs(c)) for c in range(1, space.n + 1)]
 
 
-def _indices_from_uniform(cdfs, space, u: np.ndarray, coords=None) -> np.ndarray:
+def _indices_from_uniform(cdfs, u: np.ndarray, coords=None) -> np.ndarray:
     """Inverse-CDF per column; column j maps to coords[j] (1-based), default 1..n."""
     if coords is None:
         coords = range(1, u.shape[-1] + 1)
@@ -131,24 +149,32 @@ def _indices_from_uniform(cdfs, space, u: np.ndarray, coords=None) -> np.ndarray
 
 def sample_outcome(space: ProductSpace, rng: np.random.Generator) -> tuple[float, ...]:
     """One joint outcome drawn from the product law."""
-    cdfs = _cdfs(space)
-    u = rng.random(space.n)
-    vals = []
-    for c in range(1, space.n + 1):
-        i = min(int(np.searchsorted(cdfs[c - 1], u[c - 1], side="right")), space.shape[c - 1] - 1)
-        vals.append(space.dists[c - 1].support[i])
-    return tuple(vals)
+    idx = _indices_from_uniform(_cdfs(space), rng.random(space.n))
+    return tuple(d.support[i] for d, i in zip(space.dists, idx))
 
 
 def sample_outcomes(space: ProductSpace, count: int, seed: int, start: int = 0) -> np.ndarray:
     """(count, n) outcome values; row i depends only on (seed, start + i)."""
-    cdfs = _cdfs(space)
     u = _uniform_block(seed, TAG_OUTCOME, start, count, space.n)
-    idx = _indices_from_uniform(cdfs, space, u)
+    idx = _indices_from_uniform(_cdfs(space), u)
     vals = np.empty_like(u)
     for c in range(space.n):
         vals[:, c] = space.axis_values(c + 1)[idx[:, c]]
     return vals
+
+
+def _contributions(space, statistic, cfg, tag, width, contribute, start=0, count=None) -> np.ndarray:
+    """Rows [start, start + count) of contribute(cdfs, u), count defaulting to all."""
+    statistic.validate(space)
+    cdfs = _cdfs(space)
+    stop = start + (cfg.outer_samples if count is None else count)
+    out = np.concatenate([
+        contribute(cdfs, _uniform_block(cfg.seed, tag, lo, min(BLOCK_ROWS, stop - lo), width))
+        for lo in range(start, stop, BLOCK_ROWS)
+    ])
+    if not np.isfinite(out).all():
+        raise ModelError("the statistic overflows on sampled outcomes: non-finite contributions")
+    return out
 
 
 def _alternating_eval(space, statistic, base_idx, repl_idx, positions) -> np.ndarray:
@@ -182,12 +208,25 @@ def _unrank_combination(rank: int, n: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _enumerate_subsets(cfg: McConfig, n: int, k: int) -> bool:
-    if cfg.subset_mode == "enumerate":
-        return True
-    if cfg.subset_mode == "sample":
-        return False
-    return math.comb(n, k) <= ENUMERATE_SUBSET_LIMIT
+def _over_subsets(cfg: McConfig, n: int, k: int, rank_u: np.ndarray, term, weight: float) -> np.ndarray:
+    """Unbiased per-row estimate of weight * sum of term(positions) over all k-subsets.
+
+    Either every sorted k-subset is enumerated, or each row takes the one
+    subset of lexicographic rank floor(rank_u * C(n,k)) with weight scaled
+    by C(n,k).  positions is a (rows, k) array of 0-based columns.
+    """
+    count = rank_u.shape[0]
+    if cfg.subset_mode == "enumerate" or (
+        cfg.subset_mode == "auto" and math.comb(n, k) <= ENUMERATE_SUBSET_LIMIT
+    ):
+        total = np.zeros(count)
+        for subset in itertools.combinations(range(n), k):
+            total += term(np.broadcast_to(np.asarray(subset), (count, k)))
+        return weight * total
+    n_subsets = math.comb(n, k)
+    ranks = np.minimum((rank_u * n_subsets).astype(np.int64), n_subsets - 1)
+    pos = np.asarray([_unrank_combination(int(r), n, k) for r in ranks])
+    return (weight * n_subsets) * term(pos)
 
 
 def _check_k(space: ProductSpace, k: int):
@@ -208,68 +247,27 @@ def _estimate_from(contribs: np.ndarray, flag_negative: bool = False) -> McEstim
     )
 
 
-def _total_contributions(space, statistic, k, cfg, start, count) -> np.ndarray:
-    n = space.n
-    cdfs = _cdfs(space)
-    u = _uniform_block(cfg.seed, TAG_TOTAL_BASE + k, start, count, 2 * n + 1)
-    x = _indices_from_uniform(cdfs, space, u[:, :n])
-    y = _indices_from_uniform(cdfs, space, u[:, n : 2 * n])
-    kf = float(math.factorial(k))
-    if _enumerate_subsets(cfg, n, k):
-        total = np.zeros(count)
-        for subset in itertools.combinations(range(n), k):
-            pos = np.broadcast_to(np.asarray(subset), (count, k))
-            d = _alternating_eval(space, statistic, x, y, pos)
-            total += d * d
-        return (kf / 2.0**k) * total
-    n_subsets = math.comb(n, k)
-    ranks = np.minimum((u[:, 2 * n] * n_subsets).astype(np.int64), n_subsets - 1)
-    pos = np.asarray([_unrank_combination(int(r), n, k) for r in ranks])
-    d = _alternating_eval(space, statistic, x, y, pos)
-    return (kf * n_subsets / 2.0**k) * d * d
-
-
 def estimate_iterated_jackknife(
     space: ProductSpace, statistic: Statistic, k: int, cfg: McConfig
 ) -> McEstimate:
     """Unbiased estimate of the order-k total jackknife moment."""
     _check_k(space, k)
-    statistic.validate(space)
-    return _estimate_from(
-        _total_contributions(space, statistic, k, cfg, 0, cfg.outer_samples)
-    )
-
-
-def _projected_contributions(space, statistic, k, cfg, start, count) -> np.ndarray:
     n = space.n
-    m = cfg.inner_pairs
-    cdfs = _cdfs(space)
-    u = _uniform_block(cfg.seed, TAG_PROJECTED_BASE + k, start, count, n + 2 * m * n + 1)
-    x = _indices_from_uniform(cdfs, space, u[:, :n])
-    completions = _indices_from_uniform(
-        cdfs, space, u[:, n : n + 2 * m * n].reshape(count, 2 * m, n),
-        coords=list(range(1, n + 1)),
+
+    def contribute(cdfs, u):
+        x = _indices_from_uniform(cdfs, u[:, :n])
+        y = _indices_from_uniform(cdfs, u[:, n : 2 * n])
+
+        def squared_difference(pos):
+            d = _alternating_eval(space, statistic, x, y, pos)
+            return d * d
+
+        weight = math.factorial(k) / 2.0**k
+        return _over_subsets(cfg, n, k, u[:, 2 * n], squared_difference, weight)
+
+    return _estimate_from(
+        _contributions(space, statistic, cfg, TAG_TOTAL_BASE + k, 2 * n + 1, contribute)
     )
-    kf = float(math.factorial(k))
-    sign = (-1.0) ** k  # h = (-1)^k * alternating sum with completion as base
-
-    def pair_products(pos):
-        acc = np.zeros(count)
-        for pair in range(m):
-            h1 = sign * _alternating_eval(space, statistic, completions[:, 2 * pair], x, pos)
-            h2 = sign * _alternating_eval(space, statistic, completions[:, 2 * pair + 1], x, pos)
-            acc += h1 * h2
-        return acc / m
-
-    if _enumerate_subsets(cfg, n, k):
-        total = np.zeros(count)
-        for subset in itertools.combinations(range(n), k):
-            total += pair_products(np.broadcast_to(np.asarray(subset), (count, k)))
-        return kf * total
-    n_subsets = math.comb(n, k)
-    ranks = np.minimum((u[:, -1] * n_subsets).astype(np.int64), n_subsets - 1)
-    pos = np.asarray([_unrank_combination(int(r), n, k) for r in ranks])
-    return (kf * n_subsets) * pair_products(pos)
 
 
 def estimate_projected_jackknife(
@@ -281,42 +279,42 @@ def estimate_projected_jackknife(
     estimates are returned unclamped with flagged_negative set.
     """
     _check_k(space, k)
-    statistic.validate(space)
-    contribs = _projected_contributions(space, statistic, k, cfg, 0, cfg.outer_samples)
-    return _estimate_from(contribs, flag_negative=True)
-
-
-def _variance_contributions(space, statistic, cfg, start, count) -> np.ndarray:
     n = space.n
-    cdfs = _cdfs(space)
-    u = _uniform_block(cfg.seed, TAG_VAR, start, count, 2 * n)
-    x = _indices_from_uniform(cdfs, space, u[:, :n])
-    x2 = _indices_from_uniform(cdfs, space, u[:, n:])
-    d = statistic.on_indices(space, x) - statistic.on_indices(space, x2)
-    return 0.5 * d * d
+    m = cfg.inner_pairs
+    sign = (-1.0) ** k  # h = (-1)^k * alternating sum with completion as base
+
+    def contribute(cdfs, u):
+        count = u.shape[0]
+        x = _indices_from_uniform(cdfs, u[:, :n])
+        completions = _indices_from_uniform(cdfs, u[:, n : n + 2 * m * n].reshape(count, 2 * m, n))
+
+        def pair_products(pos):
+            acc = np.zeros(count)
+            for pair in range(m):
+                h1 = sign * _alternating_eval(space, statistic, completions[:, 2 * pair], x, pos)
+                h2 = sign * _alternating_eval(space, statistic, completions[:, 2 * pair + 1], x, pos)
+                acc += h1 * h2
+            return acc / m
+
+        return _over_subsets(cfg, n, k, u[:, -1], pair_products, float(math.factorial(k)))
+
+    contribs = _contributions(
+        space, statistic, cfg, TAG_PROJECTED_BASE + k, n + 2 * m * n + 1, contribute
+    )
+    return _estimate_from(contribs, flag_negative=True)
 
 
 def estimate_variance(space: ProductSpace, statistic: Statistic, cfg: McConfig) -> McEstimate:
     """Unbiased variance estimate from independent-draw half squared differences."""
-    statistic.validate(space)
-    return _estimate_from(
-        _variance_contributions(space, statistic, cfg, 0, cfg.outer_samples)
-    )
-
-
-def _diff_contributions(space, statistic, iset, cfg, start, count) -> np.ndarray:
     n = space.n
-    k = len(iset)
-    cdfs = _cdfs(space)
-    u = _uniform_block(cfg.seed, TAG_DIFF_BASE + iset.mask, start, count, n + k)
-    x = _indices_from_uniform(cdfs, space, u[:, :n])
-    copies = _indices_from_uniform(cdfs, space, u[:, n:], coords=iset.indices)
-    repl = x.copy()
-    cols = [i - 1 for i in iset.indices]
-    repl[:, cols] = copies
-    pos = np.broadcast_to(np.asarray(cols), (count, k))
-    d = _alternating_eval(space, statistic, x, repl, pos)
-    return d * d
+
+    def contribute(cdfs, u):
+        x = _indices_from_uniform(cdfs, u[:, :n])
+        x2 = _indices_from_uniform(cdfs, u[:, n:])
+        d = statistic.on_indices(space, x) - statistic.on_indices(space, x2)
+        return 0.5 * d * d
+
+    return _estimate_from(_contributions(space, statistic, cfg, TAG_VAR, 2 * n, contribute))
 
 
 def estimate_difference_moment(
@@ -326,67 +324,49 @@ def estimate_difference_moment(
     iset = as_index_set(indices).check_range(space.n)
     if len(iset) == 0:
         raise ModelError("difference moment needs a nonempty index set")
-    statistic.validate(space)
+    n = space.n
+    cols = [i - 1 for i in iset.indices]
+
+    def contribute(cdfs, u):
+        x = _indices_from_uniform(cdfs, u[:, :n])
+        repl = x.copy()
+        repl[:, cols] = _indices_from_uniform(cdfs, u[:, n:], coords=iset.indices)
+        pos = np.broadcast_to(np.asarray(cols), (u.shape[0], len(cols)))
+        d = _alternating_eval(space, statistic, x, repl, pos)
+        return d * d
+
     return _estimate_from(
-        _diff_contributions(space, statistic, iset, cfg, 0, cfg.outer_samples)
+        _contributions(space, statistic, cfg, TAG_DIFF_BASE + iset.mask, n + len(cols), contribute)
     )
+
+
+def assemble_bracket(n: int, p: int, moment) -> BracketEstimate:
+    """Bracket scalars from per-order estimates; moment(family, k) gives each part.
+
+    The parts come from independent streams, so the variance of a signed
+    combination is the coefficient-weighted sum of the part variances.
+    """
+
+    def combine(terms) -> McEstimate:
+        parts = [(coef, moment(family, k)) for family, k, coef in terms]
+        mean = sum(coef * est.mean for coef, est in parts)
+        var = sum((coef * est.std_error) ** 2 for coef, est in parts)
+        return McEstimate(mean=float(mean), std_error=math.sqrt(var), samples=parts[0][1].samples)
+
+    return BracketEstimate(p=p, **{side: combine(t) for side, t in bracket_terms(n, p).items()})
+
+
+def moment_estimates(space: ProductSpace, statistic: Statistic, cfg: McConfig):
+    """moment(family, k) for family "ej" or "ek", estimating each pair once."""
+    estimators = {"ej": estimate_iterated_jackknife, "ek": estimate_projected_jackknife}
+    return functools.cache(lambda family, k: estimators[family](space, statistic, k, cfg))
 
 
 def estimate_bracket(
     space: ProductSpace, statistic: Statistic, p: int, cfg: McConfig
 ) -> BracketEstimate:
-    """Bracket scalars assembled from independent per-order estimation runs.
-
-    Each order uses its own stream, so the runs are independent and the
-    propagated variance of a signed combination is the coefficient-weighted
-    sum of the per-run variances.
-    """
-    n = space.n
-    if not 1 <= p <= n // 2:
-        raise ModelError(f"p={p} out of range 1..{n // 2}")
-    ej = {k: estimate_iterated_jackknife(space, statistic, k, cfg) for k in range(1, 2 * p + 1)}
-    ek = {2 * p: estimate_projected_jackknife(space, statistic, 2 * p, cfg)}
-    if 2 * p + 1 <= n:
-        ek[2 * p + 1] = estimate_projected_jackknife(space, statistic, 2 * p + 1, cfg)
-
-    def combine(parts) -> McEstimate:
-        mean = sum(coef * est.mean for coef, est in parts)
-        var = sum((coef * est.std_error) ** 2 for coef, est in parts)
-        return McEstimate(mean=float(mean), std_error=math.sqrt(var), samples=cfg.outer_samples)
-
-    lower_parts = [((-1.0) ** (k + 1) / math.factorial(k), ej[k]) for k in range(1, 2 * p + 1)]
-    upper_parts = lower_parts[: 2 * p - 1]
-    lower_jk_parts = list(lower_parts)
-    if 2 * p + 1 in ek:
-        lower_jk_parts.append((1.0 / math.factorial(2 * p + 1), ek[2 * p + 1]))
-    upper_jk_parts = upper_parts + [(-1.0 / math.factorial(2 * p), ek[2 * p])]
-    return BracketEstimate(
-        p=p,
-        lower_j=combine(lower_parts),
-        lower_jk=combine(lower_jk_parts),
-        upper_jk=combine(upper_jk_parts),
-        upper_j=combine(upper_parts),
-    )
-
-
-def _bias_contributions(space, statistic, cfg, start, count) -> np.ndarray:
-    n = space.n
-    cdfs = _cdfs(space)
-    u = _uniform_block(cfg.seed, TAG_BIAS, start, count, 2 * n + 1)
-    x = _indices_from_uniform(cdfs, space, u[:, :n])
-    copy = _indices_from_uniform(cdfs, space, u[:, n : n + 1], coords=[1])
-    x2 = _indices_from_uniform(cdfs, space, u[:, n + 1 :])
-    base_vals = statistic.on_indices(space, x)
-    resampled = np.empty((count, n + 1))
-    for i in range(n):
-        mix = x.copy()
-        mix[:, i] = copy[:, 0]
-        resampled[:, i] = statistic.on_indices(space, mix)
-    resampled[:, n] = base_vals
-    centered = resampled - resampled.mean(axis=1, keepdims=True)
-    leave_one_spread = (centered * centered).sum(axis=1)
-    half_sq = 0.5 * (base_vals - statistic.on_indices(space, x2)) ** 2
-    return leave_one_spread - half_sq
+    """Bracket scalars assembled from independent per-order estimation runs."""
+    return assemble_bracket(space.n, p, moment_estimates(space, statistic, cfg))
 
 
 def efron_stein_bias(space: ProductSpace, statistic: Statistic, cfg: McConfig) -> McEstimate:
@@ -401,7 +381,22 @@ def efron_stein_bias(space: ProductSpace, statistic: Statistic, cfg: McConfig) -
     """
     if not space.iid():
         raise ModelError("bias construction requires identically distributed coordinates")
-    statistic.validate(space)
-    return _estimate_from(
-        _bias_contributions(space, statistic, cfg, 0, cfg.outer_samples)
-    )
+    n = space.n
+
+    def contribute(cdfs, u):
+        x = _indices_from_uniform(cdfs, u[:, :n])
+        copy = _indices_from_uniform(cdfs, u[:, n : n + 1], coords=[1])
+        x2 = _indices_from_uniform(cdfs, u[:, n + 1 :])
+        base_vals = statistic.on_indices(space, x)
+        resampled = np.empty((u.shape[0], n + 1))
+        for i in range(n):
+            mix = x.copy()
+            mix[:, i] = copy[:, 0]
+            resampled[:, i] = statistic.on_indices(space, mix)
+        resampled[:, n] = base_vals
+        centered = resampled - resampled.mean(axis=1, keepdims=True)
+        leave_one_spread = (centered * centered).sum(axis=1)
+        half_sq = 0.5 * (base_vals - statistic.on_indices(space, x2)) ** 2
+        return leave_one_spread - half_sq
+
+    return _estimate_from(_contributions(space, statistic, cfg, TAG_BIAS, 2 * n + 1, contribute))

@@ -70,6 +70,8 @@ class DiscreteDistribution:
             )
         if not all(math.isfinite(v) for v in support):
             raise ModelError("support values must be finite reals")
+        if not all(math.isfinite(p) for p in probs):
+            raise ModelError("probabilities must be finite reals")
         if any(p < 0 for p in probs):
             raise ModelError("negative probability")
         total = math.fsum(probs)
@@ -267,6 +269,9 @@ class Statistic:
       max    -- no params, S = max_i x_i
       ustat2 -- params {"g": ((value, g_value), ...)}, S = sum_{i<j} g(x_i) g(x_j)
       poly   -- params {"terms": ((coef, (e_1..e_n)), ...)}, S = sum_t c_t prod_i x_i^e_ti
+
+    Table values, weights, g values and coefficients must be finite; the
+    constructor refuses NaN and infinities once, so no evaluation rechecks.
     """
 
     kind: str
@@ -275,8 +280,19 @@ class Statistic:
     def __init__(self, kind: str, params: tuple = ()):
         if kind not in STATISTIC_KINDS:
             raise ModelError(f"unknown statistic kind {kind!r}; expected one of {STATISTIC_KINDS}")
+        params = tuple(params)
+        if kind == "ustat2":
+            field, reals = "g", [g for _, g in params]
+        elif kind == "poly":
+            field, reals = "terms", [coef for coef, _ in params]
+        else:  # table values or sum weights; max has no params
+            field, reals = ("values" if kind == "table" else "weights"), params
+        bad = np.flatnonzero(~np.isfinite(np.asarray(reals, dtype=np.float64)))
+        if bad.size:
+            i = int(bad[0])
+            raise ModelError(f"params.{field}[{i}]: {reals[i]!r} is not a finite real")
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", tuple(params))
+        object.__setattr__(self, "params", params)
 
     @classmethod
     def table(cls, values: Sequence[float]) -> "Statistic":
@@ -383,18 +399,19 @@ class Statistic:
 
         idx has shape (N, n); returns shape (N,).  This is the path the
         Monte Carlo engine uses, so it never materializes the joint grid.
+        Every kind is row-local (row i of the result reads only row i of
+        idx, with the same operations whatever N is), which is what makes
+        Monte Carlo contributions independent of the block partition.
         """
         idx = np.asarray(idx)
         if self.kind == "table":
             flat = idx @ space.flat_strides()
             return np.asarray(self.params, dtype=np.float64)[flat]
-        vals = np.empty(idx.shape, dtype=np.float64)
-        for c in range(space.n):
-            vals[:, c] = space.axis_values(c + 1)[idx[:, c]]
         if self.kind == "sum":
-            return vals @ np.asarray(self.params, dtype=np.float64)
-        if self.kind == "max":
-            return vals.max(axis=1)
+            out = np.zeros(idx.shape[0])
+            for c, w in enumerate(self.params):
+                out = out + w * space.axis_values(c + 1)[idx[:, c]]
+            return out
         if self.kind == "ustat2":
             garrs = self._g_arrays(space)
             g = np.empty(idx.shape, dtype=np.float64)
@@ -402,6 +419,11 @@ class Statistic:
                 g[:, c] = garrs[c][idx[:, c]]
             tot = g.sum(axis=1)
             return 0.5 * (tot * tot - (g * g).sum(axis=1))
+        vals = np.empty(idx.shape, dtype=np.float64)
+        for c in range(space.n):
+            vals[:, c] = space.axis_values(c + 1)[idx[:, c]]
+        if self.kind == "max":
+            return vals.max(axis=1)
         out = np.zeros(idx.shape[0])
         for coef, exps in self.params:
             term = np.full(idx.shape[0], coef)
@@ -450,8 +472,12 @@ class FieldTable:
 
 
 def tabulate(statistic: Statistic, space: ProductSpace) -> FieldTable:
-    """Evaluate a statistic at every joint outcome."""
-    return FieldTable(space, statistic.on_grid(space))
+    """Evaluate a statistic at every joint outcome; overflow raises ModelError."""
+    grid = statistic.on_grid(space)
+    if not np.isfinite(grid).all():
+        flat = int(np.flatnonzero(~np.isfinite(grid.ravel(order="F")))[0])
+        raise ModelError(f"{statistic.kind} statistic is not finite at outcome {space.outcome(flat)}")
+    return FieldTable(space, grid)
 
 
 def expectation(f: FieldTable) -> float:

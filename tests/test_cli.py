@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import jackvar as jv
 from jackvar import cli
 
@@ -119,6 +121,38 @@ class TestRunMc:
         assert report["engine"] == "exact" and "mc" not in report
 
 
+    def test_brackets_match_fresh_estimates(self, tmp_path, monkeypatch):
+        # the report estimates each (family, k) once, for ks and brackets
+        # together; fresh estimate_bracket runs must give the same numbers
+        from jackvar import mc
+
+        doc = {
+            "distributions": [{"support": [0.0, 1.0, 3.0], "probs": [0.2, 0.5, 0.3]}] * 4,
+            "statistic": {"kind": "ustat2", "params": {"g": [[0.0, 0.5], [1.0, -1.0], [3.0, 2.0]]}},
+            "engine": "mc",
+            "mc": {"seed": 11, "outer_samples": 300, "ks": [1, 3]},
+            "output": {"format": "json", "path": str(tmp_path / "out")},
+        }
+        calls = []
+        for name in ("estimate_iterated_jackknife", "estimate_projected_jackknife"):
+            real = getattr(mc, name)
+            monkeypatch.setattr(mc, name, lambda *a, _f=real, _n=name: calls.append((_n, a[2])) or _f(*a))
+        assert cli.main(["run", write_config(tmp_path, doc)]) == 0
+        monkeypatch.undo()
+        assert len(calls) == len(set(calls)) == 8  # ej and ek at k = 1..4, once each
+        report = json.loads((tmp_path / "out.json").read_text())["mc"]
+        cfg = cli.parse_config(doc)
+        assert [b["p"] for b in report["brackets"]] == [1, 2]
+        for b in report["brackets"]:
+            fresh = jv.estimate_bracket(cfg.space, cfg.statistic, b["p"], cfg.mc)
+            for side in ("lower_j", "lower_jk", "upper_jk", "upper_j"):
+                est = getattr(fresh, side)
+                assert b[side] == {"mean": est.mean, "std_error": est.std_error, "samples": 300}
+        for k in ("1", "3"):
+            est = jv.estimate_projected_jackknife(cfg.space, cfg.statistic, int(k), cfg.mc)
+            assert report["ek"][k]["mean"] == est.mean
+
+
 class TestConfigErrors:
     def test_malformed_probs_names_distribution(self, tmp_path, capsys):
         doc = dict(RAD2_PROD_CONFIG)
@@ -183,6 +217,48 @@ class TestConfigErrors:
         doc["statistic"] = {"kind": "max", "params": {}}
         assert cli.main(["run", write_config(tmp_path, doc)]) == 1
         assert "capped" in capsys.readouterr().err
+
+
+class TestNonFiniteInputs:
+    """JSON accepts NaN and Infinity; every such input is a config error."""
+
+    def run(self, tmp_path, capsys, doc):
+        rc = cli.main(["run", write_config(tmp_path, doc)])
+        return rc, capsys.readouterr().err
+
+    def test_table_value(self, tmp_path, capsys):
+        doc = dict(RAD2_PROD_CONFIG)
+        doc["statistic"] = {"kind": "table", "params": {"values": [1.0, float("nan"), 0.0, 2.0]}}
+        rc, err = self.run(tmp_path, capsys, doc)
+        assert rc == 1 and "statistic: params.values[1]" in err
+
+    def test_probability(self, tmp_path, capsys):
+        doc = dict(RAD2_PROD_CONFIG)
+        doc["distributions"] = [{"support": [-1.0, 1.0], "probs": [float("nan"), 1.0]}] * 2
+        rc, err = self.run(tmp_path, capsys, doc)
+        assert rc == 1 and "distributions[0]" in err
+
+    def test_poly_exponent(self, tmp_path, capsys):
+        doc = dict(RAD2_PROD_CONFIG)
+        doc["statistic"] = {"kind": "poly", "params": {"terms": [[1.0, [1, float("inf")]]]}}
+        rc, err = self.run(tmp_path, capsys, doc)
+        assert rc == 1 and "statistic.params.terms[0]" in err
+
+    def test_mc_seed(self, tmp_path, capsys):
+        doc = dict(RAD2_PROD_CONFIG, engine="mc", mc={"seed": float("nan")})
+        rc, err = self.run(tmp_path, capsys, doc)
+        assert rc == 1 and "mc.seed" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("engine", ["exact", "mc"])
+    def test_statistic_overflow(self, tmp_path, capsys, engine):
+        doc = dict(RAD2_PROD_CONFIG, engine=engine)
+        doc["distributions"] = [{"support": [1.0, 1e200], "probs": [0.5, 0.5]}] * 2
+        doc["statistic"] = {"kind": "poly", "params": {"terms": [[1.0, [2, 0]]]}}
+        if engine == "mc":
+            doc["mc"] = {"seed": 1, "outer_samples": 100}
+        rc, err = self.run(tmp_path, capsys, doc)
+        assert rc == 1 and "statistic:" in err and "finite" in err
 
 
 class TestSelfcheck:

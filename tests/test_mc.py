@@ -91,17 +91,6 @@ class TestTotalMoment:
         b = jv.estimate_iterated_jackknife(rad3, u2_stat, 2, cfg)
         assert a == b
 
-    def test_partition_invariance(self, rad3, u2_stat):
-        cfg = jv.McConfig(seed=25, outer_samples=1000)
-        whole = mc._total_contributions(rad3, u2_stat, 2, cfg, 0, 1000)
-        parts = np.concatenate(
-            [
-                mc._total_contributions(rad3, u2_stat, 2, cfg, 0, 400),
-                mc._total_contributions(rad3, u2_stat, 2, cfg, 400, 600),
-            ]
-        )
-        assert np.array_equal(whole, parts)
-
     def test_sampled_subset_mode(self, rad3, u2_stat):
         cfg = jv.McConfig(seed=26, outer_samples=100_000, subset_mode="sample")
         est = jv.estimate_iterated_jackknife(rad3, u2_stat, 1, cfg)
@@ -150,16 +139,89 @@ class TestProjectedMoment:
         assert b.std_error < a.std_error
         assert abs(b.mean - 6.0) <= 4 * b.std_error
 
-    def test_partition_invariance(self, rad3, u2_stat):
-        cfg = jv.McConfig(seed=36, outer_samples=600, inner_pairs=2)
-        whole = mc._projected_contributions(rad3, u2_stat, 2, cfg, 0, 600)
-        parts = np.concatenate(
-            [
-                mc._projected_contributions(rad3, u2_stat, 2, cfg, 0, 599),
-                mc._projected_contributions(rad3, u2_stat, 2, cfg, 599, 1),
-            ]
-        )
-        assert np.array_equal(whole, parts)
+
+LAW = jv.DiscreteDistribution([-1.5, 0.25, 2.0], [0.2, 0.5, 0.3])
+
+
+def catalog(n):
+    """One statistic of every kind on n coordinates of LAW (no table past n = 8)."""
+    return {
+        "table": jv.Statistic.table(np.sin(np.arange(3**n) * 0.7) * 3.0) if n <= 8 else None,
+        "sum": jv.Statistic.linear(np.linspace(-1.3, 2.9, n)),
+        "max": jv.Statistic.coordinate_max(),
+        "ustat2": jv.Statistic.pair_interaction({-1.5: 0.4, 0.25: -1.3, 2.0: 0.7}),
+        "poly": jv.Statistic.polynomial([(1.0, (1, 1) + (0,) * (n - 2)), (-0.5, (0, 2, 1) + (3,) * (n - 3))]),
+    }
+
+
+IID = jv.build_space([LAW] * 4)
+KINDS = catalog(4)
+ESTIMATORS = {
+    "var": lambda st, cfg: jv.estimate_variance(IID, st, cfg),
+    "ej": lambda st, cfg: jv.estimate_iterated_jackknife(
+        IID, st, 2, jv.McConfig(cfg.seed, cfg.outer_samples, subset_mode="enumerate")),
+    "ej-sampled": lambda st, cfg: jv.estimate_iterated_jackknife(
+        IID, st, 3, jv.McConfig(cfg.seed, cfg.outer_samples, subset_mode="sample")),
+    "ek": lambda st, cfg: jv.estimate_projected_jackknife(
+        IID, st, 2, jv.McConfig(cfg.seed, cfg.outer_samples, inner_pairs=2, subset_mode="enumerate")),
+    "ek-sampled": lambda st, cfg: jv.estimate_projected_jackknife(
+        IID, st, 3, jv.McConfig(cfg.seed, cfg.outer_samples, subset_mode="sample")),
+    "diff": lambda st, cfg: jv.estimate_difference_moment(IID, st, [1, 3], cfg),
+    "bias": lambda st, cfg: jv.efron_stein_bias(IID, st, cfg),
+}
+
+
+def driver_call(monkeypatch, estimate):
+    """The arguments one public estimator hands the block driver."""
+    calls = []
+    drive = mc._contributions
+    with monkeypatch.context() as patch:
+        patch.setattr(mc, "_contributions", lambda *a: calls.append(a) or drive(*a))
+        estimate()
+    (args,) = calls
+    return args
+
+
+class TestBlockDriver:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("name", ESTIMATORS)
+    def test_any_partition_is_bit_identical(self, monkeypatch, name, kind):
+        cfg = jv.McConfig(seed=25, outer_samples=53)
+        args = driver_call(monkeypatch, lambda: ESTIMATORS[name](KINDS[kind], cfg))
+        whole = mc._contributions(*args)  # one block: 53 < BLOCK_ROWS
+        assert whole.shape == (53,)
+        monkeypatch.setattr(mc, "BLOCK_ROWS", 16)
+        assert np.array_equal(mc._contributions(*args), whole)  # blocks of 16, 16, 16, 5
+        # odd split points, the second part straddling block boundaries at 16 and 32
+        parts = [mc._contributions(*args, lo, hi - lo) for lo, hi in ((0, 7), (7, 37), (37, 53))]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("kind", ["sum", "max", "ustat2", "poly"])
+    def test_statistic_is_row_local(self, kind):
+        # rows this wide make a blocked BLAS product round differently per slice
+        wide = jv.build_space([LAW] * 33, cap=3**33)
+        stat = catalog(33)[kind]
+        idx = np.random.default_rng(5).integers(0, 3, (3000, 33))
+        whole = stat.on_indices(wide, idx)
+        for lo, hi in ((0, 1001), (1001, 3000), (7, 8)):
+            assert np.array_equal(stat.on_indices(wide, idx[lo:hi]), whole[lo:hi])
+
+    def test_real_block_boundary(self, monkeypatch, rad2, prod_stat):
+        cfg = jv.McConfig(seed=27, outer_samples=mc.BLOCK_ROWS + 3)
+        args = driver_call(monkeypatch, lambda: jv.estimate_variance(rad2, prod_stat, cfg))
+        whole = mc._contributions(*args)
+        lo = mc.BLOCK_ROWS - 2
+        parts = [mc._contributions(*args, 0, lo), mc._contributions(*args, lo, 5)]
+        assert np.array_equal(np.concatenate(parts), whole)
+        monkeypatch.setattr(mc, "BLOCK_ROWS", 1 << 20)
+        assert np.array_equal(mc._contributions(*args), whole)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_raises(self):
+        big = jv.build_space([jv.DiscreteDistribution([1e200, 1.0], [0.5, 0.5])] * 2)
+        cube = jv.Statistic.polynomial([(1.0, (3, 0))])
+        with pytest.raises(jv.ModelError, match="non-finite"):
+            jv.estimate_variance(big, cube, jv.McConfig(seed=0, outer_samples=64))
 
 
 class TestVarianceEstimate:

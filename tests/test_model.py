@@ -31,6 +31,10 @@ class TestDiscreteDistribution:
         with pytest.raises(jv.ModelError):
             jv.DiscreteDistribution([np.inf], [1.0])
 
+    def test_rejects_nan_prob(self):
+        with pytest.raises(jv.ModelError, match="finite"):
+            jv.DiscreteDistribution([0.0, 1.0], [np.nan, 1.0])
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(jv.ModelError):
             jv.DiscreteDistribution([1.0, 2.0], [1.0])
@@ -133,6 +137,38 @@ class TestTabulate:
     def test_sum_wrong_weights(self, rad2):
         with pytest.raises(jv.ModelError, match="weights"):
             jv.tabulate(jv.Statistic.linear([1.0]), rad2)
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_raises(self):
+        sp = jv.build_space([jv.DiscreteDistribution([1.0, 1e200], [0.5, 0.5])] * 2)
+        cube = jv.Statistic.polynomial([(1.0, (3, 0)), (2.0, (0, 1))])
+        with pytest.raises(jv.ModelError, match=r"not finite at outcome \(1e\+200, 1.0\)"):
+            jv.tabulate(cube, sp)
+
+
+class TestNonFiniteParams:
+    """Statistics refuse non-finite numbers once, at construction."""
+
+    def test_table_value(self):
+        with pytest.raises(jv.ModelError, match=r"params.values\[2\]"):
+            jv.Statistic.table([0.0, 1.0, np.nan, 3.0])
+
+    def test_sum_weight(self):
+        with pytest.raises(jv.ModelError, match=r"params.weights\[0\]"):
+            jv.Statistic.linear([np.inf, 1.0])
+
+    def test_ustat2_g_value(self):
+        with pytest.raises(jv.ModelError, match=r"params.g\[1\]"):
+            jv.Statistic.pair_interaction({-1.0: 1.0, 1.0: -np.inf})
+
+    def test_poly_coefficient(self):
+        with pytest.raises(jv.ModelError, match=r"params.terms\[1\]"):
+            jv.Statistic.polynomial([(1.0, (1, 0)), (np.nan, (0, 1))])
+
+    def test_direct_constructor(self):
+        with pytest.raises(jv.ModelError, match="finite"):
+            jv.Statistic("sum", (1.0, np.nan))
 
 
 class TestMoments:
