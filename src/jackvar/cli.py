@@ -77,16 +77,22 @@ def _need(d: dict, key: str, where: str):
 
 
 def _reals(x, where: str) -> list[float]:
-    if not isinstance(x, list) or not all(isinstance(v, (int, float)) for v in x):
+    """JSON numbers as floats; booleans, strings and ints beyond float range are refused."""
+    if not isinstance(x, list) or not set(map(type, x)) <= {int, float}:  # bool is not int here
         raise ConfigError(f"{where}: expected an array of numbers")
-    return [float(v) for v in x]
+    try:
+        return [float(v) for v in x]
+    except OverflowError:
+        raise ConfigError(f"{where}: expected numbers within the float range") from None
 
 
 def _integer(x, where: str) -> int:
-    try:
+    """An int, or a float with an integral value; anything else is refused, never rounded."""
+    if isinstance(x, float) and x.is_integer():  # False for NaN and Infinity
         return int(x)
-    except (TypeError, ValueError, OverflowError):  # NaN, Infinity, strings, objects
-        raise ConfigError(f"{where}: expected an integer, got {x!r}") from None
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise ConfigError(f"{where}: expected an integer, got {x!r}")
 
 
 def _parse_statistic(d, where: str) -> Statistic:
@@ -107,7 +113,9 @@ def _parse_statistic(d, where: str) -> Statistic:
                 isinstance(p, list) and len(p) == 2 for p in pairs
             ):
                 raise ConfigError(f"{where}.params.g: expected [[value, g_value], ...]")
-            return Statistic.pair_interaction([(float(a), float(b)) for a, b in pairs])
+            return Statistic.pair_interaction(
+                [_reals(p, f"{where}.params.g[{i}]") for i, p in enumerate(pairs)]
+            )
         if kind == "poly":
             terms = _need(params, "terms", f"{where}.params")
             if not isinstance(terms, list):
@@ -116,8 +124,9 @@ def _parse_statistic(d, where: str) -> Statistic:
             for t, term in enumerate(terms):
                 if not isinstance(term, list) or len(term) != 2 or not isinstance(term[1], list):
                     raise ConfigError(f"{where}.params.terms[{t}]: expected [coef, [exponents]]")
+                (coef,) = _reals(term[:1], f"{where}.params.terms[{t}]")
                 exps = [_integer(e, f"{where}.params.terms[{t}]") for e in term[1]]
-                parsed.append((float(term[0]), exps))
+                parsed.append((coef, exps))
             return Statistic.polynomial(parsed)
     except ModelError as e:
         raise ConfigError(f"{where}: {e}") from e
@@ -193,8 +202,9 @@ def parse_config(raw: dict) -> InstanceConfig:
         raise ConfigError("bounds: expected an object")
     pv = bounds_raw.get("p_values", "all")
     if pv != "all":
-        if not isinstance(pv, list) or not all(isinstance(p, int) for p in pv):
+        if not isinstance(pv, list):
             raise ConfigError('bounds.p_values: expected "all" or an array of integers')
+        pv = [_integer(p, "bounds.p_values") for p in pv]
         for p in pv:
             if not 1 <= p <= space.n // 2:
                 raise ConfigError(

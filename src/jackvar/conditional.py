@@ -139,12 +139,6 @@ class CondExpCache:
         self.scale = max(1.0, float(np.sum(space.joint_weights() * base.array**2)))
         self.clamp_eps = CLAMP_REL * self.scale
 
-    @classmethod
-    def from_statistic(cls, statistic, space) -> "CondExpCache":
-        from .model import tabulate
-
-        return cls(tabulate(statistic, space))
-
     def _mask_of(self, indices) -> int:
         iset = as_index_set(indices).check_range(self.space.n)
         return iset.mask

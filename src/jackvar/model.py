@@ -11,6 +11,11 @@ the outcome with per-coordinate indices (i_1, ..., i_n) is
 
 which is the Fortran-order raveling of an array indexed [i_1, ..., i_n].
 
+A statistic is evaluated by one routine, `Statistic._at`, whatever asks
+for it: the exact engine passes an open grid of support indices and gets
+the joint table, the Monte Carlo engine passes sampled index rows.  Each
+kind's parameters are decoded once, when the statistic is built.
+
 All containers are immutable after construction; arrays are marked
 read-only, so any operation may run concurrently on shared inputs.
 """
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -208,16 +214,15 @@ class ProductSpace:
     def axis_values(self, coord: int) -> np.ndarray:
         return self.dists[coord - 1].support_array()
 
-    def _axis_shaped(self, coord: int, arr: np.ndarray) -> np.ndarray:
+    def probs_grid(self, coord: int) -> np.ndarray:
         shape = [1] * self.n
         shape[coord - 1] = self.shape[coord - 1]
-        return arr.reshape(shape)
+        return self.axis_probs(coord).reshape(shape)
 
-    def probs_grid(self, coord: int) -> np.ndarray:
-        return self._axis_shaped(coord, self.axis_probs(coord))
-
-    def values_grid(self, coord: int) -> np.ndarray:
-        return self._axis_shaped(coord, self.axis_values(coord))
+    @cached_property
+    def open_grid(self) -> tuple[np.ndarray, ...]:
+        """Per-coordinate support indices broadcasting to the joint grid (np.ix_ style)."""
+        return np.indices(self.shape, sparse=True)
 
     def joint_weights(self) -> np.ndarray:
         """Full joint probability grid (outer product of the marginals)."""
@@ -272,6 +277,15 @@ class Statistic:
 
     Table values, weights, g values and coefficients must be finite; the
     constructor refuses NaN and infinities once, so no evaluation rechecks.
+    It also decodes the kind data once (the table as a float64 array, the
+    ustat2 value-to-g map as a dict).
+
+    Each kind's formula is written once, in `_at`, and serves both the
+    exact grid (`on_grid`) and Monte Carlo rows (`on_indices`).  It is an
+    elementwise accumulation over the coordinates in ascending order, so an
+    entry reads only its own indices and gets the same operations whatever
+    the array shape.  That row-local property is what keeps Monte Carlo
+    estimates bit-identical under any block partition of the samples.
     """
 
     kind: str
@@ -287,12 +301,20 @@ class Statistic:
             field, reals = "terms", [coef for coef, _ in params]
         else:  # table values or sum weights; max has no params
             field, reals = ("values" if kind == "table" else "weights"), params
-        bad = np.flatnonzero(~np.isfinite(np.asarray(reals, dtype=np.float64)))
+        arr = np.asarray(reals, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
             i = int(bad[0])
             raise ModelError(f"params.{field}[{i}]: {reals[i]!r} is not a finite real")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
+        # decoded once: _at gathers table values from _reals and maps ustat2
+        # support values through _g; neither takes part in ==, hash or pickle
+        object.__setattr__(self, "_reals", _readonly(arr))
+        object.__setattr__(self, "_g", dict(params) if kind == "ustat2" else None)
+
+    def __reduce__(self):
+        return (Statistic, (self.kind, self.params))
 
     @classmethod
     def table(cls, values: Sequence[float]) -> "Statistic":
@@ -336,10 +358,9 @@ class Statistic:
         elif self.kind == "ustat2":
             if space.n < 2:
                 raise ModelError("ustat2 needs at least two coordinates")
-            gmap = dict(self.params)
             for c in range(1, space.n + 1):
                 for v in space.dists[c - 1].support:
-                    if v not in gmap:
+                    if v not in self._g:
                         raise ModelError(
                             f"ustat2 value map has no entry for support value {v!r} "
                             f"of coordinate {c}"
@@ -353,83 +374,54 @@ class Statistic:
                 if any(e < 0 for e in exps):
                     raise ModelError(f"poly term {t} has a negative exponent")
 
-    def _g_arrays(self, space: ProductSpace) -> list[np.ndarray]:
-        gmap = dict(self.params)
-        return [
-            np.asarray([gmap[v] for v in d.support], dtype=np.float64)
-            for d in space.dists
-        ]
-
     def on_grid(self, space: ProductSpace) -> np.ndarray:
         """Evaluate on the full joint grid; returns an array of space.shape."""
         self.validate(space)
-        if self.kind == "table":
-            return np.asarray(self.params, dtype=np.float64).reshape(space.shape, order="F")
-        if self.kind == "sum":
-            out = np.zeros(space.shape)
-            for c, w in enumerate(self.params, start=1):
-                out = out + w * space.values_grid(c)
-            return out
-        if self.kind == "max":
-            out = np.broadcast_to(space.values_grid(1), space.shape).copy()
-            for c in range(2, space.n + 1):
-                out = np.maximum(out, space.values_grid(c))
-            return out
-        if self.kind == "ustat2":
-            garrs = self._g_arrays(space)
-            total = np.zeros(space.shape)
-            total_sq = np.zeros(space.shape)
-            for c in range(1, space.n + 1):
-                g = space._axis_shaped(c, garrs[c - 1])
-                total = total + g
-                total_sq = total_sq + g * g
-            return 0.5 * (total * total - total_sq)
-        # poly
-        out = np.zeros(space.shape)
-        for coef, exps in self.params:
-            term = np.full(space.shape, coef)
-            for c, e in enumerate(exps, start=1):
-                if e:
-                    term = term * space.values_grid(c) ** e
-            out = out + term
-        return out
+        return self._at(space, space.open_grid)
 
     def on_indices(self, space: ProductSpace, idx: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at per-coordinate support indices.
 
         idx has shape (N, n); returns shape (N,).  This is the path the
         Monte Carlo engine uses, so it never materializes the joint grid.
-        Every kind is row-local (row i of the result reads only row i of
-        idx, with the same operations whatever N is), which is what makes
-        Monte Carlo contributions independent of the block partition.
         """
-        idx = np.asarray(idx)
+        return self._at(space, np.asarray(idx).T)
+
+    def _at(self, space: ProductSpace, cols) -> np.ndarray:
+        """S at support indices: cols[c] indexes coordinate c+1; the n arrays broadcast."""
         if self.kind == "table":
-            flat = idx @ space.flat_strides()
-            return np.asarray(self.params, dtype=np.float64)[flat]
-        if self.kind == "sum":
-            out = np.zeros(idx.shape[0])
-            for c, w in enumerate(self.params):
-                out = out + w * space.axis_values(c + 1)[idx[:, c]]
+            flat = 0
+            for col, stride in zip(cols, space.flat_strides()):
+                flat = flat + col * stride
+            return self._reals[flat]
+        if self.kind == "ustat2":  # g(x_c) in place of x_c
+            lookups = [np.asarray([self._g[v] for v in d.support]) for d in space.dists]
+        else:
+            lookups = [d.support_array() for d in space.dists]
+        values = [lookup[col] for lookup, col in zip(lookups, cols)]
+        if self.kind == "max":
+            out = values[0]
+            for v in values[1:]:
+                out = np.maximum(out, v)
+            return out
+        if self.kind == "sum":  # every coordinate enters, so the sum has the full shape
+            out = 0.0
+            for w, v in zip(self.params, values):
+                out = out + w * v
             return out
         if self.kind == "ustat2":
-            garrs = self._g_arrays(space)
-            g = np.empty(idx.shape, dtype=np.float64)
-            for c in range(space.n):
-                g[:, c] = garrs[c][idx[:, c]]
-            tot = g.sum(axis=1)
-            return 0.5 * (tot * tot - (g * g).sum(axis=1))
-        vals = np.empty(idx.shape, dtype=np.float64)
-        for c in range(space.n):
-            vals[:, c] = space.axis_values(c + 1)[idx[:, c]]
-        if self.kind == "max":
-            return vals.max(axis=1)
-        out = np.zeros(idx.shape[0])
+            total = total_sq = 0.0
+            for g in values:
+                total = total + g
+                total_sq = total_sq + g * g
+            return 0.5 * (total * total - total_sq)
+        # poly: a term may leave coordinates out, so start from the full shape
+        out = np.zeros(np.broadcast_shapes(*(np.shape(col) for col in cols)))
         for coef, exps in self.params:
-            term = np.full(idx.shape[0], coef)
-            for c, e in enumerate(exps):
+            term = coef
+            for e, v in zip(exps, values):
                 if e:
-                    term = term * vals[:, c] ** e
+                    term = term * v**e
             out = out + term
         return out
 

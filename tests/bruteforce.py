@@ -52,6 +52,25 @@ def tabulate(space, fn):
     return {idx: float(fn(space.values(idx))) for idx in space.indices}
 
 
+def statistic_at(space, kind, params, idx):
+    """The catalog statistic at one joint index tuple, from its definition."""
+    x = space.values(idx)
+    if kind == "table":  # params holds one value per outcome, coordinate 1 fastest
+        flat, stride = 0, 1
+        for i, m in zip(idx, space.shape):
+            flat += i * stride
+            stride *= m
+        return params[flat]
+    if kind == "sum":
+        return sum(w * v for w, v in zip(params, x))
+    if kind == "max":
+        return max(x)
+    if kind == "ustat2":
+        g = dict(params)
+        return sum(g[x[i]] * g[x[j]] for i in range(len(x)) for j in range(i + 1, len(x)))
+    return sum(c * math.prod(v**e for v, e in zip(x, exps)) for c, exps in params)  # poly
+
+
 def mean(space, table):
     return sum(space.weight(idx) * table[idx] for idx in space.indices)
 

@@ -261,6 +261,48 @@ class TestNonFiniteInputs:
         assert rc == 1 and "statistic:" in err and "finite" in err
 
 
+def _with(**fields):
+    """RAD2_PROD_CONFIG with top-level fields replaced."""
+    return dict(RAD2_PROD_CONFIG, **fields)
+
+
+MC_RUN = {"seed": 1, "outer_samples": 100}
+
+
+class TestExactNumbers:
+    """Number fields are taken exactly or refused: no rounding, no booleans."""
+
+    @pytest.mark.parametrize(
+        "field, doc",
+        [pytest.param(field, doc, id=field) for field, doc in [
+            ("mc.seed", _with(engine="mc", mc=dict(MC_RUN, seed=2.9))),
+            ("mc.outer_samples", _with(engine="mc", mc=dict(MC_RUN, outer_samples=100.9))),
+            ("mc.inner_pairs", _with(engine="mc", mc=dict(MC_RUN, inner_pairs=True))),
+            ("mc.ks", _with(engine="mc", mc=dict(MC_RUN, ks=[1.5]))),
+            ("statistic.params.terms[0]",
+             _with(statistic={"kind": "poly", "params": {"terms": [[1.0, [1, 1.7]]]}})),
+            ("distributions[0].support",
+             _with(distributions=[{"support": [True, False], "probs": [0.5, 0.5]}] * 2)),
+            ("bounds.p_values", _with(bounds={"p_values": [True]})),
+            ("distributions[1].probs",
+             _with(distributions=[RAD2_PROD_CONFIG["distributions"][0],
+                                  {"support": [0.0, 1.0], "probs": [10**400, 0.5]}])),
+        ]],
+    )
+    def test_refused(self, tmp_path, capsys, field, doc):
+        doc = dict(doc, output={"path": str(tmp_path / "out")})
+        assert cli.main(["run", write_config(tmp_path, doc)]) == 1
+        assert f"{field}: expected" in capsys.readouterr().err
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        doc = _with(engine="mc", mc={"seed": 2.0, "outer_samples": 1e2, "ks": [2.0]},
+                    bounds={"p_values": [1.0]}, output={"path": str(tmp_path / "out")})
+        assert cli.main(["run", write_config(tmp_path, doc)]) == 0
+        report = json.loads((tmp_path / "out.json").read_text())
+        assert report["seed"] == 2 and report["mc"]["outer_samples"] == 100
+        assert list(report["mc"]["ej"]) == ["2"] and report["mc"]["brackets"][0]["p"] == 1
+
+
 class TestSelfcheck:
     def test_small_battery_passes(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -1,0 +1,22 @@
+"""Demos 01-03 run to completion; 04 and 05 take several seconds each and are left out."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+FAST_DEMOS = ("01_exact_decomposition", "02_degree_spectrum", "03_variance_brackets")
+
+
+@pytest.mark.parametrize("name", FAST_DEMOS)
+def test_demo_exits_cleanly(name, tmp_path):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{name}.py")],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

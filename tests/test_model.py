@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,7 +9,7 @@ from hypothesis import given, strategies as st
 import jackvar as jv
 from jackvar.model import DEFAULT_OUTCOME_CAP
 
-from bruteforce import BruteSpace, mean as brute_mean, variance as brute_variance
+from bruteforce import BruteSpace, mean as brute_mean, statistic_at, variance as brute_variance
 
 RAD = jv.DiscreteDistribution.rademacher()
 
@@ -241,23 +245,57 @@ class TestMoments:
             assert jv.variance(f) == pytest.approx(brute_variance(bs, table), abs=1e-13)
 
 
+# (id, supports, statistic): n = 1 for four kinds, one-point coordinates, a zero
+# sum weight and poly terms that leave coordinates out or are constant
+ORACLE_CASES = [
+    ("table_n1", [[-1.0, 0.5, 2.0]], jv.Statistic.table([0.25, -3.0, 1.5])),
+    ("table_mixed", [[0.0, 1.0], [7.0], [-1.0, 0.0, 2.0]],
+     jv.Statistic.table([0.5, -1.0, 2.0, 0.125, -0.75, 3.0])),
+    ("sum_n1", [[-1.0, 0.5, 2.0]], jv.Statistic.linear([-1.5])),
+    ("sum_zero_weight", [[-1.0, 1.0], [3.0], [0.0, 2.0, 5.0], [-2.0, 0.5]],
+     jv.Statistic.linear([0.5, 2.0, -1.25, 0.0])),
+    ("max_n1", [[-1.0, 0.5, 2.0]], jv.Statistic.coordinate_max()),
+    ("max_mixed", [[-1.0, 1.0], [0.25], [-3.0, 0.0, 2.0]], jv.Statistic.coordinate_max()),
+    ("ustat2_n2", [[-1.0, 1.0], [-1.0, 1.0]],
+     jv.Statistic.pair_interaction({-1.0: -1.0, 1.0: 1.0})),
+    ("ustat2_mixed", [[-1.0, 1.0], [2.0], [-1.0, 0.5, 2.0]],
+     jv.Statistic.pair_interaction({-1.0: 0.75, 0.5: -2.0, 1.0: 1.5, 2.0: 0.25})),
+    ("poly_n1", [[-1.0, 0.5, 2.0]], jv.Statistic.polynomial([(1.5, (2,)), (-0.5, (0,))])),
+    ("poly_mixed", [[-1.0, 1.0, 3.0], [0.5], [-2.0, 0.0]],
+     jv.Statistic.polynomial([(1.0, (2, 0, 1)), (-0.5, (0, 3, 0)), (2.0, (0, 0, 0))])),
+    ("poly_constant", [[-1.0, 1.0], [0.5, 2.0]], jv.Statistic.polynomial([(2.5, (0, 0))])),
+]
+
+
 class TestOnIndices:
-    @pytest.mark.parametrize(
-        "stat",
-        [
-            jv.Statistic.linear([0.5, -1.0, 2.0]),
-            jv.Statistic.coordinate_max(),
-            jv.Statistic.pair_interaction({-1.0: -1.0, 1.0: 1.0}),
-            jv.Statistic.polynomial([(1.0, (2, 0, 1)), (-0.5, (0, 1, 0))]),
-        ],
-    )
-    def test_matches_grid(self, rad3, stat):
+    """Both evaluation paths against the per-outcome definitions in bruteforce."""
+
+    @staticmethod
+    def spaces(supports):
+        probs = [[1.0 / len(s)] * len(s) for s in supports]
+        sp = jv.build_space([jv.DiscreteDistribution(s, p) for s, p in zip(supports, probs)])
+        return sp, BruteSpace(supports, probs)
+
+    @pytest.mark.parametrize("supports, stat", [pytest.param(*c[1:], id=c[0]) for c in ORACLE_CASES])
+    def test_on_grid_matches_definition(self, supports, stat):
+        sp, bs = self.spaces(supports)
+        grid = stat.on_grid(sp)
+        assert grid.shape == sp.shape
+        for idx in bs.indices:
+            want = statistic_at(bs, stat.kind, stat.params, idx)
+            assert grid[idx] == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("supports, stat", [pytest.param(*c[1:], id=c[0]) for c in ORACLE_CASES])
+    def test_on_indices_matches_definition(self, supports, stat):
+        sp, bs = self.spaces(supports)
         rng = np.random.Generator(np.random.Philox(key=2))
-        idx = rng.integers(0, 2, size=(50, 3))
-        grid = stat.on_grid(rad3)
-        direct = stat.on_indices(rad3, idx)
-        for row, want in zip(idx, direct):
-            assert grid[tuple(row)] == pytest.approx(want, abs=1e-14)
+        rows = bs.indices + [tuple(int(rng.integers(0, m)) for m in sp.shape) for _ in range(40)]
+        got = stat.on_indices(sp, np.asarray(rows, dtype=np.int64))
+        assert got.shape == (len(rows),)
+        for idx, value in zip(rows, got):
+            want = statistic_at(bs, stat.kind, stat.params, idx)
+            assert value == pytest.approx(want, rel=1e-14, abs=1e-14)
+        assert stat.on_indices(sp, np.zeros((0, sp.n), dtype=np.int64)).shape == (0,)
 
     def test_table_kind(self, rad3, u2_stat):
         table = jv.Statistic.table(jv.tabulate(u2_stat, rad3).values)
@@ -266,3 +304,24 @@ class TestOnIndices:
         assert np.array_equal(
             table.on_indices(rad3, idx), u2_stat.on_indices(rad3, idx)
         )
+
+
+class TestStatisticIdentity:
+    """==, hash and pickle see (kind, params) only, not the arrays decoded from them."""
+
+    @pytest.mark.parametrize("supports, stat", [pytest.param(*c[1:], id=c[0]) for c in ORACLE_CASES])
+    def test_eq_hash_pickle(self, supports, stat):
+        twin = jv.Statistic(stat.kind, list(stat.params))
+        assert twin == stat and hash(twin) == hash(stat)
+        assert [f.name for f in dataclasses.fields(stat)] == ["kind", "params"]
+        blob = pickle.dumps(stat)
+        assert blob == pickle.dumps(twin) and b"numpy" not in blob
+        back = pickle.loads(blob)
+        assert back == stat and hash(back) == hash(stat)
+        sp = jv.build_space([jv.DiscreteDistribution.uniform(s) for s in supports])
+        assert np.array_equal(back.on_grid(sp), stat.on_grid(sp))
+        assert np.array_equal(copy.deepcopy(stat).on_grid(sp), stat.on_grid(sp))
+
+    def test_params_decide_equality(self):
+        assert jv.Statistic.table([1.0, 2.0]) != jv.Statistic.table([1.0, 3.0])
+        assert jv.Statistic.table([1.0]) != jv.Statistic.linear([1.0])
