@@ -2,10 +2,14 @@
 
 Randomness discipline
 ---------------------
-All draws come from Philox4x64-10 counter-based generators (numpy's
-``np.random.Philox``).  The stream for logical purpose `tag` under seed `s`
-uses the 128-bit key  ``(s & 2^64-1) | (tag << 64)``; sample index i uses
-that key with the 256-bit counter preset to ``i << 128``.  Consequences:
+All draws come from Philox4x64-10 counter-based generators (Salmon et al.,
+SC'11, "Parallel random numbers: as easy as 1, 2, 3").  The stream for
+logical purpose `tag` under seed `s` uses the 128-bit key
+``(s & 2^64-1) | (tag << 64)``; sample index i uses that key with the
+256-bit counter preset to ``i << 128``.  The tag and the index must each fit
+in one 64-bit word; anything else raises `ModelError`, never wraps.
+`stream_rng` gives that stream as numpy's ``np.random.Philox`` Generator.
+Consequences:
 
   * streams for outer draws, copies, subset choices, and inner completions
     are independent by construction (distinct tags / counter blocks);
@@ -28,6 +32,22 @@ is bounded by one block of uniforms, indices and statistic values, plus
 partition changes a result; that holds because every step is row-local
 (`Statistic.on_indices` uses no BLAS product, whose rounding depends on
 the block shape).
+
+The block generator
+-------------------
+`_uniform_block` computes Philox4x64-10 in numpy for a whole block of rows
+at once, bit-identical to the rows of `stream_rng`, which stays as the
+reference the tests compare against: row i, 4-word group b of the row is
+the cipher of the counter (b+1, 0, i, 0) under the key (seed, tag), 10
+rounds with the 64x64 -> 128-bit products split into 32-bit halves, and
+each word w becomes the uniform (w >> 11) * 2^-53, as ``Generator.random``
+does.  Building one numpy Generator per row cost more than all the
+statistic evaluations of a pass.  The rounds run on _TILE_ROWS rows at a
+time, because the round temporaries scale with the rows in flight: an
+8192 x 81 block peaks at about 26 MB of numpy allocations untiled and 8 MB
+in tiles of 1024 rows, no slower.  Like BLOCK_ROWS, the tile size cannot
+change a result.  Sampled k-subsets are unranked for all rows at once by
+`_unrank_combinations`.
 
 Estimator constructions
 -----------------------
@@ -63,6 +83,13 @@ from .bounds import bracket_terms
 from .model import ModelError, ProductSpace, Statistic, as_index_set
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
+_INT64_MAX = (1 << 63) - 1
+
+# Philox4x64-10 constants (Salmon et al., SC'11): round multipliers and key bumps
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
 
 TAG_OUTCOME = 1
 TAG_VAR = 2
@@ -73,6 +100,7 @@ TAG_DIFF_BASE = 3 << 16  # + subset bitmask
 
 ENUMERATE_SUBSET_LIMIT = 64
 BLOCK_ROWS = 8192
+_TILE_ROWS = 1024  # rows of Philox words in flight; bounds the generator's scratch
 
 
 @dataclass(frozen=True)
@@ -123,10 +151,49 @@ def stream_rng(seed: int, tag: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=int(index) << 128))
 
 
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit product m * x, through 32-bit halves."""
+    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & _MASK32)
+    x_hi, x_lo = x >> 32, x & _MASK32
+    hi_lo = x_hi * m_lo
+    cross = ((x_lo * m_lo) >> 32) + (hi_lo & _MASK32) + x_lo * m_hi  # < 2^64
+    return x_hi * m_hi + (hi_lo >> 32) + (cross >> 32), x * np.uint64(m)
+
+
+def _philox_round(ctr, key):
+    """One Philox4x64 round on four broadcasting counter words."""
+    hi0, lo0 = _mulhilo(_PHILOX_M0, ctr[0])
+    hi1, lo1 = _mulhilo(_PHILOX_M1, ctr[2])
+    return hi1 ^ ctr[1] ^ key[0], lo1, hi0 ^ ctr[3] ^ key[1], lo0
+
+
 def _uniform_block(seed: int, tag: int, start: int, count: int, width: int) -> np.ndarray:
+    """(count, width) uniforms; row r is stream_rng(seed, tag, start + r).random(width)."""
+    if not 0 <= tag <= _MASK64:
+        raise ModelError(f"stream tag {tag} is outside the 64-bit key word 0..2^64-1")
+    if not 0 <= start <= start + count <= 1 << 64:
+        raise ModelError(
+            f"sample rows {start}..{start + count - 1} are outside the 64-bit counter word 0..2^64-1"
+        )
+    keys = []
+    k0, k1 = int(seed) & _MASK64, int(tag)
+    for _ in range(_PHILOX_ROUNDS):
+        keys.append((np.uint64(k0), np.uint64(k1)))
+        k0, k1 = (k0 + _PHILOX_W0) & _MASK64, (k1 + _PHILOX_W1) & _MASK64
+    blocks = -(-width // 4)
+    first = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]  # counter word 0 = block + 1
+    words = np.empty((min(count, _TILE_ROWS), blocks, 4), dtype=np.uint64)
     out = np.empty((count, width))
-    for r in range(count):
-        out[r] = stream_rng(seed, tag, start + r).random(width)
+    for lo in range(0, count, _TILE_ROWS):
+        rows = min(_TILE_ROWS, count - lo)
+        index = np.uint64(start + lo) + np.arange(rows, dtype=np.uint64)[:, None]
+        ctr = (first, np.uint64(0), index, np.uint64(0))  # counter word 2 = row index
+        for key in keys:
+            ctr = _philox_round(ctr, key)
+        tile = words[:rows]
+        for j in range(4):
+            tile[..., j] = ctr[j]
+        out[lo : lo + rows] = (tile.reshape(rows, 4 * blocks)[:, :width] >> 11) * 2.0**-53
     return out
 
 
@@ -195,17 +262,27 @@ def _alternating_eval(space, statistic, base_idx, repl_idx, positions) -> np.nda
     return total
 
 
-def _unrank_combination(rank: int, n: int, k: int) -> tuple[int, ...]:
-    """Lexicographic unranking of a k-combination of {0..n-1}."""
-    out = []
-    c = 0
-    for remaining in range(k, 0, -1):
-        while math.comb(n - c - 1, remaining - 1) <= rank:
-            rank -= math.comb(n - c - 1, remaining - 1)
-            c += 1
-        out.append(c)
-        c += 1
-    return tuple(out)
+def _unrank_combinations(ranks: np.ndarray, n: int, k: int) -> np.ndarray:
+    """(rows, k) sorted k-subsets of {0..n-1}: row r has lexicographic rank ranks[r].
+
+    Slot by slot: before[j] counts the ways to fill this slot and the ones
+    after it with this slot's entry below slot + j, so a row whose entry
+    may start at c, with remaining rank r, takes the last entry e with
+    before[e - slot] <= before[c - slot] + r.  Every count is at most
+    C(n, k), so int64 holds them when it holds the ranks.
+    """
+    rank = np.array(ranks, dtype=np.int64)
+    out = np.empty((rank.size, k), dtype=np.int64)
+    c = np.zeros(rank.size, dtype=np.int64)
+    for slot in range(k):
+        counts = [math.comb(n - 1 - e, k - 1 - slot) for e in range(slot, n)]
+        before = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+        target = before[c - slot] + rank
+        c = slot + np.searchsorted(before, target, side="right") - 1
+        rank = target - before[c - slot]
+        out[:, slot] = c
+        c = c + 1
+    return out
 
 
 def _over_subsets(cfg: McConfig, n: int, k: int, rank_u: np.ndarray, term, weight: float) -> np.ndarray:
@@ -224,9 +301,10 @@ def _over_subsets(cfg: McConfig, n: int, k: int, rank_u: np.ndarray, term, weigh
             total += term(np.broadcast_to(np.asarray(subset), (count, k)))
         return weight * total
     n_subsets = math.comb(n, k)
+    if n_subsets > _INT64_MAX:
+        raise ModelError(f"C({n},{k}) = {n_subsets} subsets exceed the 64-bit rank range 0..2^63-1")
     ranks = np.minimum((rank_u * n_subsets).astype(np.int64), n_subsets - 1)
-    pos = np.asarray([_unrank_combination(int(r), n, k) for r in ranks])
-    return (weight * n_subsets) * term(pos)
+    return (weight * n_subsets) * term(_unrank_combinations(ranks, n, k))
 
 
 def _check_k(space: ProductSpace, k: int):
@@ -324,6 +402,12 @@ def estimate_difference_moment(
     iset = as_index_set(indices).check_range(space.n)
     if len(iset) == 0:
         raise ModelError("difference moment needs a nonempty index set")
+    tag = TAG_DIFF_BASE + iset.mask
+    if tag > _MASK64:
+        raise ModelError(
+            f"index set {list(iset.indices)} has no stream: its tag TAG_DIFF_BASE + bitmask = {tag} "
+            "exceeds the 64-bit limit 2^64-1 (any coordinate above 64 overflows it)"
+        )
     n = space.n
     cols = [i - 1 for i in iset.indices]
 
@@ -336,7 +420,7 @@ def estimate_difference_moment(
         return d * d
 
     return _estimate_from(
-        _contributions(space, statistic, cfg, TAG_DIFF_BASE + iset.mask, n + len(cols), contribute)
+        _contributions(space, statistic, cfg, tag, n + len(cols), contribute)
     )
 
 

@@ -93,12 +93,6 @@ class DiscreteDistribution:
     def size(self) -> int:
         return len(self.support)
 
-    def support_array(self) -> np.ndarray:
-        return np.asarray(self.support, dtype=np.float64)
-
-    def probs_array(self) -> np.ndarray:
-        return np.asarray(self.probs, dtype=np.float64)
-
     @classmethod
     def rademacher(cls) -> "DiscreteDistribution":
         return cls((-1.0, 1.0), (0.5, 0.5))
@@ -206,18 +200,27 @@ class ProductSpace:
         self.n_outcomes = count
         self.cap = cap
         self._weights = None
+        self._probs = tuple(_readonly(d.probs) for d in dists)
+        self._values = tuple(_readonly(d.support) for d in dists)
 
     def axis_probs(self, coord: int) -> np.ndarray:
-        """Marginal probabilities of 1-based coordinate `coord`."""
-        return self.dists[coord - 1].probs_array()
+        """Marginal probabilities of 1-based coordinate `coord` (read-only)."""
+        return self._probs[coord - 1]
 
     def axis_values(self, coord: int) -> np.ndarray:
-        return self.dists[coord - 1].support_array()
+        """Support values of 1-based coordinate `coord` (read-only)."""
+        return self._values[coord - 1]
 
     def probs_grid(self, coord: int) -> np.ndarray:
-        shape = [1] * self.n
-        shape[coord - 1] = self.shape[coord - 1]
-        return self.axis_probs(coord).reshape(shape)
+        """axis_probs(coord) shaped to broadcast along axis coord - 1 of the grid."""
+        return self._probs_grids[coord - 1]
+
+    @cached_property
+    def _probs_grids(self) -> tuple[np.ndarray, ...]:
+        # built on first use: an n-dimensional view exists only for n <= 64
+        return tuple(
+            p.reshape((1,) * c + p.shape + (1,) * (self.n - c - 1)) for c, p in enumerate(self._probs)
+        )
 
     @cached_property
     def open_grid(self) -> tuple[np.ndarray, ...]:
@@ -309,9 +312,11 @@ class Statistic:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
         # decoded once: _at gathers table values from _reals and maps ustat2
-        # support values through _g; neither takes part in ==, hash or pickle
+        # supports through _g into the per-support arrays of _g_axes; none of
+        # the three takes part in ==, hash or pickle
         object.__setattr__(self, "_reals", _readonly(arr))
         object.__setattr__(self, "_g", dict(params) if kind == "ustat2" else None)
+        object.__setattr__(self, "_g_axes", {})
 
     def __reduce__(self):
         return (Statistic, (self.kind, self.params))
@@ -387,6 +392,13 @@ class Statistic:
         """
         return self._at(space, np.asarray(idx).T)
 
+    def _g_axis(self, support: tuple) -> np.ndarray:
+        """g at each support value, built once per support and then reused."""
+        axis = self._g_axes.get(support)
+        if axis is None:
+            axis = self._g_axes[support] = _readonly([self._g[v] for v in support])
+        return axis
+
     def _at(self, space: ProductSpace, cols) -> np.ndarray:
         """S at support indices: cols[c] indexes coordinate c+1; the n arrays broadcast."""
         if self.kind == "table":
@@ -395,9 +407,9 @@ class Statistic:
                 flat = flat + col * stride
             return self._reals[flat]
         if self.kind == "ustat2":  # g(x_c) in place of x_c
-            lookups = [np.asarray([self._g[v] for v in d.support]) for d in space.dists]
+            lookups = [self._g_axis(d.support) for d in space.dists]
         else:
-            lookups = [d.support_array() for d in space.dists]
+            lookups = [space.axis_values(c) for c in range(1, space.n + 1)]
         values = [lookup[col] for lookup, col in zip(lookups, cols)]
         if self.kind == "max":
             out = values[0]

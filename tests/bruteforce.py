@@ -185,6 +185,19 @@ def difference_moment(space, fn, subset):
     return acc
 
 
+def unrank_combination(rank, n, k):
+    """The k-combination of {0..n-1} with lexicographic rank `rank`, one slot at a time."""
+    out = []
+    c = 0
+    for remaining in range(k, 0, -1):
+        while math.comb(n - c - 1, remaining - 1) <= rank:
+            rank -= math.comb(n - c - 1, remaining - 1)
+            c += 1
+        out.append(c)
+        c += 1
+    return tuple(out)
+
+
 def classical_jackknife(values):
     m = len(values)
     bar = sum(values) / m

@@ -1,4 +1,4 @@
-"""Demos 01-03 run to completion; 04 and 05 take several seconds each and are left out."""
+"""Every demo runs to completion."""
 
 import os
 import pathlib
@@ -8,10 +8,11 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-FAST_DEMOS = ("01_exact_decomposition", "02_degree_spectrum", "03_variance_brackets")
+DEMOS = ("01_exact_decomposition", "02_degree_spectrum", "03_variance_brackets",
+         "04_monte_carlo", "05_classical_jackknife")
 
 
-@pytest.mark.parametrize("name", FAST_DEMOS)
+@pytest.mark.parametrize("name", DEMOS)
 def test_demo_exits_cleanly(name, tmp_path):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(

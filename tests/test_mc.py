@@ -1,9 +1,13 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 import jackvar as jv
 from jackvar import mc
 
+from bruteforce import unrank_combination
 from conftest import random_iid_space, symmetric_table_statistic
 
 RAD = jv.DiscreteDistribution.rademacher()
@@ -47,6 +51,67 @@ class TestSampling:
         for value, p in zip(d.support, d.probs):
             freq = np.mean(draws[:, 0] == value)
             assert abs(freq - p) < 4 * np.sqrt(p * (1 - p) / draws.shape[0])
+
+
+def stream_rows(seed, tag, start, count, width):
+    """The reference: one numpy Philox Generator per row."""
+    return np.array([mc.stream_rng(seed, tag, start + r).random(width) for r in range(count)])
+
+
+TOP = (1 << 64) - 1
+
+
+class TestUniformBlock:
+    EDGES = [
+        (TOP, mc.TAG_VAR, 0, 5, 3),  # largest seed
+        (7, TOP, 11, 4, 81),  # largest tag in use: TAG_DIFF_BASE + the largest bitmask that fits
+        (7, mc.TAG_OUTCOME, TOP - 2, 3, 1),  # last rows of the counter
+        (TOP, TOP, TOP, 1, 6),
+        (3, mc.TAG_TOTAL_BASE + 2, 1000, mc._TILE_ROWS + 2, 3),  # crosses a tile boundary
+    ]
+
+    @pytest.mark.parametrize("case", EDGES)
+    def test_edges_match_stream_rng(self, case):
+        assert np.array_equal(mc._uniform_block(*case), stream_rows(*case))
+
+    def test_random_cases_match_stream_rng(self):
+        rng = np.random.default_rng(17)
+        for _ in range(25):
+            seed, tag, start = (int(v) for v in rng.integers(0, 1 << 63, 3, dtype=np.uint64) * 2 + 1)
+            count, width = int(rng.integers(1, 40)), int(rng.integers(1, 90))
+            case = (seed, tag, start, count, width)
+            assert np.array_equal(mc._uniform_block(*case), stream_rows(*case)), case
+
+    def test_pinned_rows(self):
+        # written by the per-row np.random.Philox generator this one replaced
+        pinned = {
+            (TOP, TOP, TOP, 1, 6): [
+                "0x1.5b62ee8f7696dp-1", "0x1.cb1c762e370b2p-2", "0x1.1d030cf020998p-3",
+                "0x1.26d277a797054p-2", "0x1.e8fada70cf9f0p-4", "0x1.98328bc9987c2p-2"],
+            (20181, mc.TAG_TOTAL_BASE + 2, 8191, 1, 5): [
+                "0x1.412d1b1c246b2p-1", "0x1.daeddd5e87b0bp-1", "0x1.41bddf57f2614p-2",
+                "0x1.1060b590cb04cp-1", "0x1.9560cdbdbf97cp-1"],
+        }
+        for case, row in pinned.items():
+            assert mc._uniform_block(*case)[0].tolist() == [float.fromhex(h) for h in row]
+
+    @pytest.mark.parametrize("tile", [1, 7, 4096])
+    def test_tile_size_cannot_change_a_result(self, monkeypatch, tile):
+        whole = mc._uniform_block(9, mc.TAG_BIAS, 123, 2500, 13)
+        monkeypatch.setattr(mc, "_TILE_ROWS", tile)
+        assert np.array_equal(mc._uniform_block(9, mc.TAG_BIAS, 123, 2500, 13), whole)
+
+    @pytest.mark.parametrize("tag", [-1, 1 << 64])
+    def test_refuses_tags_beyond_the_key_word(self, tag):
+        with pytest.raises(jv.ModelError, match="64-bit"):
+            mc._uniform_block(0, tag, 0, 1, 1)
+
+    def test_refuses_rows_beyond_the_counter_word(self, rad2):
+        last = jv.sample_outcomes(rad2, 1, seed=5, start=TOP)
+        assert np.array_equal(last, jv.sample_outcomes(rad2, 2, seed=5, start=TOP - 1)[1:])
+        for start, count in ((TOP, 2), (1 << 64, 1), (-1, 1)):
+            with pytest.raises(jv.ModelError, match="64-bit counter"):
+                jv.sample_outcomes(rad2, count, seed=5, start=start)
 
 
 class TestConfig:
@@ -192,6 +257,8 @@ class TestBlockDriver:
         assert whole.shape == (53,)
         monkeypatch.setattr(mc, "BLOCK_ROWS", 16)
         assert np.array_equal(mc._contributions(*args), whole)  # blocks of 16, 16, 16, 5
+        monkeypatch.setattr(mc, "_TILE_ROWS", 3)
+        assert np.array_equal(mc._contributions(*args), whole)  # tiles of 3 inside each block
         # odd split points, the second part straddling block boundaries at 16 and 32
         parts = [mc._contributions(*args, lo, hi - lo) for lo, hi in ((0, 7), (7, 37), (37, 53))]
         assert np.array_equal(np.concatenate(parts), whole)
@@ -299,13 +366,32 @@ class TestDifferenceMomentEstimate:
         exact = jv.iterated_difference_moment(rad3, u2_stat, [1, 2])
         assert abs(est.mean - exact) <= 4 * est.std_error
 
+    @pytest.mark.parametrize("indices", [[65], [70], [3, 70]])
+    def test_coordinates_past_64_are_refused_before_sampling(self, monkeypatch, indices):
+        wide = jv.build_space([RAD] * 70, cap=1 << 70)
+        monkeypatch.setattr(mc, "_contributions", lambda *a: pytest.fail("sampled"))
+        with pytest.raises(jv.ModelError, match="64-bit limit"):
+            jv.estimate_difference_moment(
+                wide, jv.Statistic.coordinate_max(), indices, jv.McConfig(seed=0, outer_samples=10))
+
 
 class TestUnrank:
     def test_enumerates_lexicographically(self):
-        import itertools
-        import math
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                got = mc._unrank_combinations(np.arange(math.comb(n, k)), n, k)
+                assert list(map(tuple, got.tolist())) == list(itertools.combinations(range(n), k))
 
-        for n, k in ((5, 2), (6, 3), (4, 4)):
-            combos = list(itertools.combinations(range(n), k))
-            got = [mc._unrank_combination(r, n, k) for r in range(math.comb(n, k))]
-            assert got == combos
+    @pytest.mark.parametrize("n, k", [(40, 3), (200, 5)])
+    def test_sampled_ranks_match_the_scalar_unranker(self, n, k):
+        total = math.comb(n, k)
+        ranks = np.random.default_rng(n).integers(0, total, 2000)
+        ranks[:2] = 0, total - 1
+        want = [unrank_combination(int(r), n, k) for r in ranks]
+        assert list(map(tuple, mc._unrank_combinations(ranks, n, k).tolist())) == want
+
+    def test_too_many_subsets_for_int64_ranks(self):
+        wide = jv.build_space([RAD] * 70, cap=1 << 70)
+        with pytest.raises(jv.ModelError, match="rank range"):
+            jv.estimate_iterated_jackknife(
+                wide, jv.Statistic.coordinate_max(), 35, jv.McConfig(seed=0, outer_samples=10))

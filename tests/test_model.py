@@ -106,6 +106,17 @@ class TestBuildSpace:
         with pytest.raises(ValueError):
             sp.joint_weights()[0, 0] = 9.0
 
+    def test_axis_arrays_read_only_and_built_once(self):
+        sp = jv.build_space([RAD, jv.DiscreteDistribution([0.0, 1.0, 2.0], [0.2, 0.3, 0.5])])
+        assert sp.probs_grid(2).shape == (1, 3)
+        assert sp.axis_values(2).tolist() == [0.0, 1.0, 2.0]
+        for get in (sp.axis_probs, sp.axis_values, sp.probs_grid):
+            for c in (1, 2):
+                arr = get(c)
+                assert arr is get(c)
+                with pytest.raises(ValueError):
+                    arr[..., 0] = 9.0
+
 
 class TestTabulate:
     def test_rad2_prod(self, rad2, prod_stat):
