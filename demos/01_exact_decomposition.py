@@ -36,6 +36,6 @@ print("recursion vs inclusion-exclusion:", np.max(np.abs(a - b)))
 # Replace-one-coordinate differences give the same quantities without any
 # conditional machinery: E[(difference over I)^2] = 2^|I| E[var(I) S].
 for indices in ([1], [1, 2]):
-    m = jv.iterated_difference_moment(space, product, indices)
+    m = jv.iterated_difference_moment(table, indices)
     print(f"difference moment {tuple(indices)}: {m} = 2^|I| * E var = "
           f"{2**len(indices)} * {m / 2**len(indices)}")

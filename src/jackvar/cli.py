@@ -43,10 +43,10 @@ from dataclasses import dataclass
 
 from . import __version__
 from .bounds import BoundsReport, exact_report
-from .conditional import EXACT_N_CAP, CondExpCache
+from .conditional import CondExpCache
 from .mc import McConfig, assemble_bracket, estimate_variance, moment_estimates
-from .model import DiscreteDistribution, ModelError, ProductSpace, Statistic, \
-    build_space, tabulate
+from .model import DiscreteDistribution, GridSizeError, ModelError, ProductSpace, \
+    Statistic, build_space, tabulate
 from .selfcheck import run_battery
 
 ENGINES = ("exact", "mc", "both")
@@ -164,10 +164,6 @@ def parse_config(raw: dict) -> InstanceConfig:
     engine = raw.get("engine", "exact")
     if engine not in ENGINES:
         raise ConfigError(f"engine: expected one of {ENGINES}, got {engine!r}")
-    if engine in ("exact", "both") and space.n > EXACT_N_CAP:
-        raise ConfigError(
-            f"engine: exact mode is capped at n={EXACT_N_CAP}, config has n={space.n}"
-        )
 
     mc_cfg = None
     if engine in ("mc", "both"):
@@ -330,8 +326,9 @@ def cmd_run(args) -> int:
             report = exact_report(cache, p_values=cfg.p_values)
         if cfg.engine in ("mc", "both"):
             mc_section = _mc_section(cfg)
-    except ModelError as e:  # the statistic overflows on the grid or on sampled outcomes
-        print(f"error: {args.config}: statistic: {e}", file=sys.stderr)
+    except ModelError as e:  # an exact array over the cap, or the statistic overflows
+        where = "exact engine" if isinstance(e, GridSizeError) else "statistic"
+        print(f"error: {args.config}: {where}: {e}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - t0
 

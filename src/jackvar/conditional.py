@@ -26,8 +26,8 @@ ConsistencyError: convexity guarantees non-negativity, so a large negative
 is a bug, not noise.
 
 Concurrency: the cache memoizes one table per coordinate subset (bitmask
-key, lazily populated, at most 2^n tables; exact mode is capped at n = 20
-for memory predictability).  Entries are immutable once stored and two
+key, lazily populated, at most 2^n tables, each of grid size; only the
+tables asked for are built).  Entries are immutable once stored and two
 concurrent builders of the same entry compute identical tables, so
 population is idempotent.
 """
@@ -39,13 +39,11 @@ import numpy as np
 from .model import (
     ConsistencyError,
     FieldTable,
-    IndexSet,
     ModelError,
     ProductSpace,
     as_index_set,
 )
 
-EXACT_N_CAP = 20
 CLAMP_REL = 1e-10
 
 
@@ -128,15 +126,10 @@ class CondExpCache:
     """
 
     def __init__(self, base: FieldTable):
-        space = base.space
-        if space.n > EXACT_N_CAP:
-            raise ModelError(
-                f"exact mode is capped at n={EXACT_N_CAP} (cache holds up to 2^n tables)"
-            )
-        self.space = space
+        self.space = base.space
         self.base = base
         self._tables: dict[int, FieldTable] = {0: base}
-        self.scale = max(1.0, float(np.sum(space.joint_weights() * base.array**2)))
+        self.scale = max(1.0, float(np.sum(self.space.joint_weights() * base.array**2)))
         self.clamp_eps = CLAMP_REL * self.scale
 
     def _mask_of(self, indices) -> int:
@@ -154,7 +147,7 @@ class CondExpCache:
         high = mask.bit_length()  # 1-based coordinate of the highest set bit
         parent = self._expect_mask(mask & ~(1 << (high - 1)))
         arr = axis_mean(self.space, parent.array, high)
-        table = FieldTable(self.space, arr, IndexSet.from_mask(mask).indices)
+        table = FieldTable(self.space, arr)
         self._tables[mask] = table
         return table
 
@@ -196,7 +189,7 @@ def iterated_variance(cache: CondExpCache, indices) -> FieldTable:
         raise ModelError("iterated variance needs a nonempty index set")
     raw = var_sequence(cache.space, cache.base.array, iset.indices)
     arr = cache.clamp(raw, f"iterated_variance({iset.indices})")
-    return FieldTable(cache.space, arr, iset.indices)
+    return FieldTable(cache.space, arr)
 
 
 def iterated_variance_ordered(cache: CondExpCache, order) -> FieldTable:
@@ -210,7 +203,7 @@ def iterated_variance_ordered(cache: CondExpCache, order) -> FieldTable:
     as_index_set(order).check_range(cache.space.n)
     raw = var_sequence(cache.space, cache.base.array, order)
     arr = cache.clamp(raw, f"iterated_variance_ordered({order})")
-    return FieldTable(cache.space, arr, sorted(order))
+    return FieldTable(cache.space, arr)
 
 
 def iterated_variance_ie(cache: CondExpCache, indices) -> FieldTable:
@@ -229,4 +222,4 @@ def iterated_variance_ie(cache: CondExpCache, indices) -> FieldTable:
         cond_of_base=lambda sub: cache._expect_mask(sub).array,
     )
     arr = cache.clamp(raw, f"iterated_variance_ie({iset.indices})")
-    return FieldTable(cache.space, arr, iset.indices)
+    return FieldTable(cache.space, arr)

@@ -53,8 +53,10 @@ def subset_masses(space: ProductSpace, arr) -> np.ndarray:
     basis of L2(p_c): the constant coefficient is the axis mean and the
     m_c - 1 others project the centred residual onto an orthonormal
     completion of sqrt(p_c).  Squaring every coefficient and folding each
-    axis into {constant, non-constant} leaves the 2^n masses.
+    axis into {constant, non-constant} leaves the 2^n masses, even when
+    every coordinate has one point, so max(outcomes, 2^n) values are checked.
     """
+    space.check_grid("the subset masses", max(space.n_outcomes, 1 << space.n))
     coeffs = np.asarray(arr, dtype=np.float64)
     for c in range(1, space.n + 1):
         axis = c - 1
@@ -97,7 +99,7 @@ def hoeffding_component(cache: CondExpCache, indices) -> FieldTable:
         if sub == 0:
             break
         sub = (sub - 1) & mask
-    return FieldTable(cache.space, acc, iset.complement(cache.space.n).indices)
+    return FieldTable(cache.space, acc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +143,7 @@ class HoeffdingDecomposition:
         for s, tab in self.components.items():
             if set(s.indices) <= target:
                 acc = acc + tab.array
-        return FieldTable(space, acc, iset.complement(space.n).indices)
+        return FieldTable(space, acc)
 
     def reconstruction(self) -> FieldTable:
         return self.subset_sum_table(range(1, self.n + 1))
@@ -150,6 +152,7 @@ class HoeffdingDecomposition:
 def decompose(cache: CondExpCache) -> HoeffdingDecomposition:
     """Every component table, with masses and spectrum from `subset_masses`."""
     n = cache.space.n
+    cache.space.check_grid("the Hoeffding component tables", cache.space.n_outcomes << n)
     masses = subset_masses(cache.space, cache.base.array)
     subsets = {mask: IndexSet.from_mask(mask) for mask in range(1, 1 << n)}
     return HoeffdingDecomposition(

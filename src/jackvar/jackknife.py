@@ -37,13 +37,7 @@ import numpy as np
 # tracer counts calls made through it, which shows the engine makes none.
 from .conditional import CondExpCache, var_sequence  # noqa: F401
 from .hoeffding import degree_spectrum
-from .model import (
-    ConsistencyError,
-    ModelError,
-    ProductSpace,
-    Statistic,
-    as_index_set,
-)
+from .model import ConsistencyError, FieldTable, ModelError, as_index_set
 
 
 @dataclass(frozen=True)
@@ -109,7 +103,7 @@ def prefix_jackknife(cache: CondExpCache, k: int) -> float:
     return jackknife_spectrum(cache).er[k - 1]
 
 
-def iterated_difference_moment(space: ProductSpace, statistic: Statistic, indices) -> float:
+def iterated_difference_moment(table: FieldTable, indices) -> float:
     """Second moment of the iterated replace-one difference over a subset.
 
     The difference replaces each subset coordinate in turn by an independent
@@ -118,26 +112,22 @@ def iterated_difference_moment(space: ProductSpace, statistic: Statistic, indice
     Its second moment equals 2^|I| times E[var(I) S], which is what makes it
     an engine-independent oracle for the conditional machinery.
 
-    It enumerates the extended grid (base outcomes times one fresh copy
-    axis per subset coordinate) and fails if that grid exceeds the space's
-    outcome cap; `mc.estimate_difference_moment` samples the same moment.
+    It enumerates the extended grid of the tabulated statistic (base outcomes
+    times one fresh copy axis per subset coordinate), which `check_grid` must
+    admit; `mc.estimate_difference_moment` samples the same moment.
     """
+    space = table.space
     iset = as_index_set(indices).check_range(space.n)
     k = len(iset)
     if k == 0:
         raise ModelError("difference moment needs a nonempty index set")
 
     copy_sizes = tuple(space.shape[i - 1] for i in iset)
-    ext_count = space.n_outcomes
-    for m in copy_sizes:
-        ext_count *= m
-        if ext_count > space.cap:
-            raise ModelError(
-                f"extended space for subset {iset.indices} exceeds cap {space.cap}"
-            )
+    extended = space.n_outcomes * math.prod(copy_sizes)
+    space.check_grid(f"the extended grid for subset {list(iset.indices)}", extended, space.n + k)
 
     n = space.n
-    base = statistic.on_grid(space).reshape(space.shape + (1,) * k)
+    base = table.array.reshape(space.shape + (1,) * k)
     diff = np.zeros(space.shape + copy_sizes)
     for bits in range(1 << k):
         view = base

@@ -5,9 +5,9 @@ Randomness discipline
 All draws come from Philox4x64-10 counter-based generators (Salmon et al.,
 SC'11, "Parallel random numbers: as easy as 1, 2, 3").  The stream for
 logical purpose `tag` under seed `s` uses the 128-bit key
-``(s & 2^64-1) | (tag << 64)``; sample index i uses that key with the
-256-bit counter preset to ``i << 128``.  The tag and the index must each fit
-in one 64-bit word; anything else raises `ModelError`, never wraps.
+``s | (tag << 64)``; sample index i uses that key with the 256-bit counter
+preset to ``i << 128``.  The seed, the tag and the index must each fit in
+one 64-bit word; anything else raises `ModelError`, never wraps.
 `stream_rng` gives that stream as numpy's ``np.random.Philox`` Generator.
 Consequences:
 
@@ -114,8 +114,7 @@ class McConfig:
     subset_mode: str = "auto"
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) <= _MASK64:
-            raise ModelError("seed must fit in 64 bits")
+        _word64("seed", self.seed)
         if self.outer_samples < 2:
             raise ModelError("outer_samples must be >= 2")
         if self.inner_pairs < 1:
@@ -145,9 +144,17 @@ class BracketEstimate:
     upper_j: McEstimate
 
 
+def _word64(what: str, value: int) -> int:
+    """A seed or stream tag as one 64-bit key word; out of range raises, never wraps."""
+    value = int(value)
+    if not 0 <= value <= _MASK64:
+        raise ModelError(f"{what} {value} is outside the 64-bit key word 0..2^64-1")
+    return value
+
+
 def stream_rng(seed: int, tag: int, index: int) -> np.random.Generator:
     """Generator for one (purpose, sample index) pair; see module docstring."""
-    key = (int(seed) & _MASK64) | (int(tag) << 64)
+    key = _word64("seed", seed) | (_word64("stream tag", tag) << 64)
     return np.random.Generator(np.random.Philox(key=key, counter=int(index) << 128))
 
 
@@ -169,14 +176,12 @@ def _philox_round(ctr, key):
 
 def _uniform_block(seed: int, tag: int, start: int, count: int, width: int) -> np.ndarray:
     """(count, width) uniforms; row r is stream_rng(seed, tag, start + r).random(width)."""
-    if not 0 <= tag <= _MASK64:
-        raise ModelError(f"stream tag {tag} is outside the 64-bit key word 0..2^64-1")
+    k0, k1 = _word64("seed", seed), _word64("stream tag", tag)
     if not 0 <= start <= start + count <= 1 << 64:
         raise ModelError(
             f"sample rows {start}..{start + count - 1} are outside the 64-bit counter word 0..2^64-1"
         )
     keys = []
-    k0, k1 = int(seed) & _MASK64, int(tag)
     for _ in range(_PHILOX_ROUNDS):
         keys.append((np.uint64(k0), np.uint64(k1)))
         k0, k1 = (k0 + _PHILOX_W0) & _MASK64, (k1 + _PHILOX_W1) & _MASK64

@@ -39,6 +39,10 @@ class ModelError(ValueError):
     """Invalid distribution, space, or statistic construction."""
 
 
+class GridSizeError(ModelError):
+    """An exact array would hold more float64 values than the space's cap."""
+
+
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed far beyond numerical noise.
 
@@ -151,9 +155,6 @@ class IndexSet:
             i += 1
         return cls(out)
 
-    def complement(self, n: int) -> "IndexSet":
-        return IndexSet(i for i in range(1, n + 1) if i not in self.indices)
-
     def check_range(self, n: int) -> "IndexSet":
         if self.indices and self.indices[-1] > n:
             raise ModelError(
@@ -176,7 +177,8 @@ class ProductSpace:
 
     The joint law is the product of the per-coordinate laws; independence is
     structural (joint weights are built as an outer product, nothing else is
-    ever assumed).
+    ever assumed).  Building one allocates nothing of grid size; `cap`
+    bounds only the exact arrays, each checked by `check_grid` where it is built.
     """
 
     def __init__(self, dists: Sequence[DiscreteDistribution], cap: int = DEFAULT_OUTCOME_CAP):
@@ -185,19 +187,10 @@ class ProductSpace:
             raise ModelError("a product space needs at least one coordinate")
         if not all(isinstance(d, DiscreteDistribution) for d in dists):
             raise ModelError("dists must be DiscreteDistribution instances")
-        shape = tuple(d.size for d in dists)
-        count = 1
-        for m in shape:
-            count *= m
-            if count > cap:
-                raise ModelError(
-                    f"joint outcome count exceeds cap {cap}; "
-                    "use the Monte Carlo estimators for spaces this large"
-                )
         self.dists = dists
-        self.shape = shape
+        self.shape = tuple(d.size for d in dists)
         self.n = len(dists)
-        self.n_outcomes = count
+        self.n_outcomes = math.prod(self.shape)
         self.cap = cap
         self._weights = None
         self._probs = tuple(_readonly(d.probs) for d in dists)
@@ -222,14 +215,30 @@ class ProductSpace:
             p.reshape((1,) * c + p.shape + (1,) * (self.n - c - 1)) for c, p in enumerate(self._probs)
         )
 
+    def check_grid(self, what: str, entries: int | None = None, axes: int | None = None) -> None:
+        """Refuse an exact array of more than `cap` float64 values or numpy's 64 axes.
+
+        The library's one size rule; both counts default to the joint grid's."""
+        entries = self.n_outcomes if entries is None else entries
+        axes = self.n if axes is None else axes
+        if axes > 64:
+            raise GridSizeError(f"{what}: {axes} axes exceed numpy's 64; use the Monte Carlo estimators")
+        if entries > self.cap:
+            raise GridSizeError(
+                f"{what}: {entries} float64 values ({8 * entries} bytes) exceed the cap "
+                f"of {self.cap} values; use the Monte Carlo estimators"
+            )
+
     @cached_property
     def open_grid(self) -> tuple[np.ndarray, ...]:
         """Per-coordinate support indices broadcasting to the joint grid (np.ix_ style)."""
+        self.check_grid("the joint grid")
         return np.indices(self.shape, sparse=True)
 
     def joint_weights(self) -> np.ndarray:
         """Full joint probability grid (outer product of the marginals)."""
         if self._weights is None:
+            self.check_grid("the joint weights")
             w = np.ones(self.shape, dtype=np.float64)
             for c in range(1, self.n + 1):
                 w = w * self.probs_grid(c)
@@ -443,17 +452,14 @@ class FieldTable:
     """A real value per joint outcome: the common currency of the library.
 
     `array` is shaped like the space (axis j = coordinate j+1); the flat
-    `values` view follows the documented enumeration order.  constant_coords
-    lists coordinates the table is known constant along (bookkeeping only;
-    the full grid is always stored, uniform indexing beats compressed
-    layouts at these sizes).
+    `values` view follows the documented enumeration order.  The full grid
+    is always stored, even for a table constant along some coordinates.
     """
 
     space: ProductSpace
     array: np.ndarray
-    constant_coords: frozenset = frozenset()
 
-    def __init__(self, space: ProductSpace, array: np.ndarray, constant_coords=frozenset()):
+    def __init__(self, space: ProductSpace, array: np.ndarray):
         arr = np.asarray(array, dtype=np.float64)
         if arr.shape != space.shape:
             if arr.size == space.n_outcomes and arr.ndim == 1:
@@ -464,7 +470,6 @@ class FieldTable:
                 )
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "array", _readonly(arr))
-        object.__setattr__(self, "constant_coords", frozenset(constant_coords))
 
     @property
     def values(self) -> np.ndarray:

@@ -134,7 +134,7 @@ def check_instance(space, statistic, perm_rng: np.random.Generator) -> InstanceC
             orders = max(orders, _amax(rec.array - permuted.array))
         e_var = float(np.sum(w * rec.array))
         superset = max(superset, abs(e_var - decomp.superset_mass(iset)))
-        moment = iterated_difference_moment(space, statistic, iset)
+        moment = iterated_difference_moment(base, iset)
         diff = max(diff, abs(moment / 2.0 ** len(iset) - e_var))
         projected = cache._expect_mask(full & ~mask).array
         e_var_projected = float(np.sum(w * var_sequence(space, projected, iset.indices)))

@@ -212,11 +212,36 @@ class TestConfigErrors:
         assert "ks" in capsys.readouterr().err
 
     def test_exact_engine_n_cap(self, tmp_path, capsys):
+        # one outcome, but 2^25 subset masses: the cap counts those too
         doc = dict(RAD2_PROD_CONFIG)
-        doc["distributions"] = [{"support": [-1.0, 1.0], "probs": [0.5, 0.5]}] * 21
+        doc["distributions"] = [{"support": [0.0], "probs": [1.0]}] * 25
         doc["statistic"] = {"kind": "max", "params": {}}
         assert cli.main(["run", write_config(tmp_path, doc)]) == 1
-        assert "capped" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "exact engine: the subset masses: 33554432 float64 values" in err and "(268435456 bytes)" in err
+        assert "statistic:" not in err
+
+
+class TestSizeRule:
+    def test_mc_engine_never_builds_the_grid(self, tmp_path):
+        doc = {
+            "distributions": [{"support": [-1.0, 1.0], "probs": [0.5, 0.5]}] * 30,
+            "statistic": {"kind": "sum", "params": {"weights": [1.0] * 30}},
+            "engine": "mc",
+            "mc": {"seed": 3, "outer_samples": 200, "ks": [1]},
+            "bounds": {"p_values": [1]},
+            "output": {"path": str(tmp_path / "out")},
+        }
+        assert cli.main(["run", write_config(tmp_path, doc)]) == 0
+        report = json.loads((tmp_path / "out.json").read_text())
+        assert report["outcomes"] == 1 << 30 and report["mc"]["brackets"][0]["p"] == 1
+
+    def test_more_axes_than_numpy_allows(self, tmp_path, capsys):
+        doc = dict(RAD2_PROD_CONFIG)
+        doc["distributions"] = [{"support": [0.0], "probs": [1.0]}] * 66
+        doc["statistic"] = {"kind": "max", "params": {}}
+        assert cli.main(["run", write_config(tmp_path, doc)]) == 1
+        assert "exact engine: the joint grid: 66 axes" in capsys.readouterr().err
 
 
 class TestNonFiniteInputs:

@@ -3,6 +3,7 @@ import pytest
 
 import jackvar as jv
 from jackvar.conditional import axis_mean
+from jackvar.model import GridSizeError
 from jackvar.selfcheck import random_instance
 
 import bruteforce as bf
@@ -145,6 +146,14 @@ class TestSubsetMasses:
     def test_constant_has_no_variance_mass(self, rad2):
         table = jv.tabulate(jv.Statistic.table([1.5] * 4), rad2)
         assert jv.subset_masses(rad2, table.array).tolist() == [2.25, 0.0, 0.0, 0.0]
+
+    def test_decompose_counts_its_component_tables(self):
+        # 16 outcomes and 16 masses fit a cap of 100; 2^4 tables of 16 values do not
+        space = jv.build_space([jv.DiscreteDistribution.rademacher()] * 4, cap=100)
+        cache = jv.CondExpCache(jv.tabulate(jv.Statistic.coordinate_max(), space))
+        assert len(jv.degree_spectrum(cache)) == 4
+        with pytest.raises(GridSizeError, match=r"component tables: 256 float64 values \(2048 bytes\)"):
+            jv.decompose(cache)
 
     def test_decompose_masses_match_components(self, instances):
         for cache, decomp in instances:

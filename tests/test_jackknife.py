@@ -108,18 +108,18 @@ class TestAgainstBruteforce:
 
 class TestDifferenceMoment:
     def test_rad2_prod_single(self, rad2, prod_stat):
-        assert jv.iterated_difference_moment(rad2, prod_stat, [1]) == pytest.approx(
+        assert jv.iterated_difference_moment(jv.tabulate(prod_stat, rad2), [1]) == pytest.approx(
             2.0, abs=1e-12
         )
 
     def test_rad2_prod_pair(self, rad2, prod_stat):
-        assert jv.iterated_difference_moment(rad2, prod_stat, [1, 2]) == pytest.approx(
+        assert jv.iterated_difference_moment(jv.tabulate(prod_stat, rad2), [1, 2]) == pytest.approx(
             4.0, abs=1e-12
         )
 
     def test_constant(self, rad2):
         c = jv.Statistic.table([5.0] * 4)
-        assert jv.iterated_difference_moment(rad2, c, [1, 2]) == 0.0
+        assert jv.iterated_difference_moment(jv.tabulate(c, rad2), [1, 2]) == 0.0
 
     def test_matches_scaled_iterated_variance(self):
         rng = np.random.Generator(np.random.Philox(key=61))
@@ -129,14 +129,14 @@ class TestDifferenceMoment:
             w = space.joint_weights()
             for mask in range(1, 1 << space.n):
                 iset = jv.IndexSet.from_mask(mask)
-                moment = jv.iterated_difference_moment(space, stat, iset)
+                moment = jv.iterated_difference_moment(cache.base, iset)
                 e_var = float(np.sum(w * jv.iterated_variance(cache, iset).array))
                 assert abs(moment / 2.0 ** len(iset) - e_var) <= 1e-9 * cache.scale
 
     def test_matches_bruteforce(self, rad3, u2_stat):
         bs, fn = bf.fixture("RAD3-U2")
         for subset in ([1], [2, 3], [1, 2, 3]):
-            got = jv.iterated_difference_moment(rad3, u2_stat, subset)
+            got = jv.iterated_difference_moment(jv.tabulate(u2_stat, rad3), subset)
             want = bf.difference_moment(bs, fn, subset)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -144,16 +144,24 @@ class TestDifferenceMoment:
         d = jv.DiscreteDistribution.rademacher()
         sp = jv.build_space([d] * 4, cap=20)  # 16 outcomes fits, 32 does not
         with pytest.raises(jv.ModelError, match="cap"):
-            jv.iterated_difference_moment(sp, jv.Statistic.coordinate_max(), [1])
+            jv.iterated_difference_moment(jv.tabulate(jv.Statistic.coordinate_max(), sp), [1])
+
+    def test_extended_grid_axes(self):
+        # 63 axes tabulate; two copy axes make 65, beyond numpy's 64
+        sp = jv.build_space([jv.DiscreteDistribution.point_mass(0.0)] * 63)
+        table = jv.tabulate(jv.Statistic.coordinate_max(), sp)
+        assert jv.iterated_difference_moment(table, [1]) == 0.0
+        with pytest.raises(jv.ModelError, match=r"grid for subset \[1, 2\]: 65 axes exceed numpy's 64"):
+            jv.iterated_difference_moment(table, [1, 2])
 
     def test_empty_subset(self, rad2, prod_stat):
         with pytest.raises(jv.ModelError):
-            jv.iterated_difference_moment(rad2, prod_stat, [])
+            jv.iterated_difference_moment(jv.tabulate(prod_stat, rad2), [])
 
     def test_sampled_mode_close(self, rad3, u2_stat):
         cfg = jv.McConfig(seed=9, outer_samples=20000)
         est = jv.estimate_difference_moment(rad3, u2_stat, [1, 2], cfg).mean
-        exact = jv.iterated_difference_moment(rad3, u2_stat, [1, 2])
+        exact = jv.iterated_difference_moment(jv.tabulate(u2_stat, rad3), [1, 2])
         assert abs(est - exact) < 0.5
 
 
@@ -169,7 +177,7 @@ class TestConsistencyAcrossOrders:
 
             for k in range(1, space.n + 1):
                 total = sum(
-                    jv.iterated_difference_moment(space, stat, subset)
+                    jv.iterated_difference_moment(cache.base, subset)
                     for subset in itertools.combinations(range(1, space.n + 1), k)
                 )
                 want = math.factorial(k) * total / 2.0**k

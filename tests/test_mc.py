@@ -106,6 +106,14 @@ class TestUniformBlock:
         with pytest.raises(jv.ModelError, match="64-bit"):
             mc._uniform_block(0, tag, 0, 1, 1)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_refuses_seeds_beyond_the_key_word(self, rad2, seed):
+        # they used to be masked: 2^64 ran as seed 0, -1 as seed 2^64 - 1
+        with pytest.raises(jv.ModelError, match=f"seed {seed} is outside the 64-bit key word"):
+            jv.sample_outcomes(rad2, 8, seed=seed)
+        with pytest.raises(jv.ModelError, match=f"seed {seed} is outside the 64-bit key word"):
+            mc.stream_rng(seed, mc.TAG_OUTCOME, 0)
+
     def test_refuses_rows_beyond_the_counter_word(self, rad2):
         last = jv.sample_outcomes(rad2, 1, seed=5, start=TOP)
         assert np.array_equal(last, jv.sample_outcomes(rad2, 2, seed=5, start=TOP - 1)[1:])
@@ -266,7 +274,7 @@ class TestBlockDriver:
     @pytest.mark.parametrize("kind", ["sum", "max", "ustat2", "poly"])
     def test_statistic_is_row_local(self, kind):
         # rows this wide make a blocked BLAS product round differently per slice
-        wide = jv.build_space([LAW] * 33, cap=3**33)
+        wide = jv.build_space([LAW] * 33)
         stat = catalog(33)[kind]
         idx = np.random.default_rng(5).integers(0, 3, (3000, 33))
         whole = stat.on_indices(wide, idx)
@@ -363,12 +371,12 @@ class TestDifferenceMomentEstimate:
     def test_matches_exact(self, rad3, u2_stat):
         cfg = jv.McConfig(seed=71, outer_samples=50_000)
         est = jv.estimate_difference_moment(rad3, u2_stat, [1, 2], cfg)
-        exact = jv.iterated_difference_moment(rad3, u2_stat, [1, 2])
+        exact = jv.iterated_difference_moment(jv.tabulate(u2_stat, rad3), [1, 2])
         assert abs(est.mean - exact) <= 4 * est.std_error
 
     @pytest.mark.parametrize("indices", [[65], [70], [3, 70]])
     def test_coordinates_past_64_are_refused_before_sampling(self, monkeypatch, indices):
-        wide = jv.build_space([RAD] * 70, cap=1 << 70)
+        wide = jv.build_space([RAD] * 70)
         monkeypatch.setattr(mc, "_contributions", lambda *a: pytest.fail("sampled"))
         with pytest.raises(jv.ModelError, match="64-bit limit"):
             jv.estimate_difference_moment(
@@ -391,7 +399,7 @@ class TestUnrank:
         assert list(map(tuple, mc._unrank_combinations(ranks, n, k).tolist())) == want
 
     def test_too_many_subsets_for_int64_ranks(self):
-        wide = jv.build_space([RAD] * 70, cap=1 << 70)
+        wide = jv.build_space([RAD] * 70)
         with pytest.raises(jv.ModelError, match="rank range"):
             jv.estimate_iterated_jackknife(
                 wide, jv.Statistic.coordinate_max(), 35, jv.McConfig(seed=0, outer_samples=10))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import jackvar as jv
-from jackvar.model import DEFAULT_OUTCOME_CAP
+from jackvar.model import DEFAULT_OUTCOME_CAP, GridSizeError
 
 from bruteforce import BruteSpace, mean as brute_mean, statistic_at, variance as brute_variance
 
@@ -58,9 +58,6 @@ class TestIndexSet:
         assert jv.IndexSet.from_mask(s.mask) == s
         assert s.mask == 0b11001
 
-    def test_complement(self):
-        assert jv.IndexSet([2]).complement(3).indices == (1, 3)
-
     def test_rejects_nonpositive(self):
         with pytest.raises(jv.ModelError):
             jv.IndexSet([0, 1])
@@ -83,9 +80,23 @@ class TestBuildSpace:
         assert sp.joint_weights()[0] == 1.0
 
     def test_outcome_cap(self):
-        with pytest.raises(jv.ModelError, match="cap"):
-            jv.build_space([RAD] * 25)
-        assert 2**25 > DEFAULT_OUTCOME_CAP
+        # building a space allocates nothing of grid size, so any size builds
+        assert jv.build_space([RAD] * 25).n_outcomes == 2**25 > DEFAULT_OUTCOME_CAP
+        # the cap is checked where an exact array is built; a small one keeps
+        # a missing check down to kilobytes
+        sp = jv.build_space([RAD] * 10, cap=2**9)
+        with pytest.raises(GridSizeError, match=r"the joint grid: 1024 float64 values \(8192 bytes\)"):
+            jv.tabulate(jv.Statistic.coordinate_max(), sp)
+        with pytest.raises(GridSizeError, match=r"the joint weights: 1024 .* cap of 512"):
+            sp.joint_weights()
+        assert jv.tabulate(jv.Statistic.coordinate_max(), jv.build_space([RAD] * 9, cap=2**9))
+
+    def test_axes_beyond_numpy(self):
+        sp = jv.build_space([jv.DiscreteDistribution.point_mass(0.0)] * 66)
+        assert sp.n_outcomes == 1
+        for build in (lambda: jv.tabulate(jv.Statistic.coordinate_max(), sp), sp.joint_weights):
+            with pytest.raises(GridSizeError, match="66 axes exceed numpy's 64"):
+                build()
 
     def test_empty(self):
         with pytest.raises(jv.ModelError):
@@ -122,7 +133,6 @@ class TestTabulate:
     def test_rad2_prod(self, rad2, prod_stat):
         t = jv.tabulate(prod_stat, rad2)
         assert t.values.tolist() == [1.0, -1.0, -1.0, 1.0]
-        assert t.constant_coords == frozenset()
 
     def test_rad2_sum(self, rad2, sum_stat):
         t = jv.tabulate(sum_stat, rad2)
