@@ -31,7 +31,7 @@ print("\nmixed statistic spectrum:", mdecomp.spectrum)
 # The jackknife moments see the same spectrum through binomial weights:
 # total_k / k! = sum_{j >= k} C(j,k) Var f_j, projected_k / k! = Var f_k.
 jack = jv.jackknife_spectrum(mcache)
-res = jv.spectrum_identities(mdecomp.spectrum, jack)
-print("cross-identity residual:", res.max_residual)
+res = jv.identity_residuals(jack, mdecomp.spectrum, jv.variance(mcache.base))
+print("cross-identity residuals:", res.spectrum_total, res.spectrum_projected, res.spectrum_mix)
 print("projected moments / k! :",
       [jack.ek[k] / math.factorial(k + 1) for k in range(space.n)])

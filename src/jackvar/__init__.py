@@ -15,37 +15,32 @@ from .bounds import (
     Bracket,
     BoundsReport,
     DegreeBound,
+    IdentityResiduals,
     P0Chain,
     all_brackets,
     degree_bound,
     exact_report,
+    identity_residuals,
     p0_chain,
     partial_sum_bracket,
-    recursion_check,
-    variance_identities,
 )
 from .conditional import (
     CondExpCache,
     iterated_variance,
     iterated_variance_ie,
-    iterated_variance_ordered,
 )
 from .hoeffding import (
     HoeffdingDecomposition,
     decompose,
     degree_spectrum,
     hoeffding_component,
-    spectrum_identities,
     subset_masses,
 )
 from .jackknife import (
     JackknifeSpectrum,
     classical_jackknife,
     iterated_difference_moment,
-    iterated_jackknife,
     jackknife_spectrum,
-    prefix_jackknife,
-    projected_jackknife,
 )
 from .mc import (
     BracketEstimate,
@@ -57,7 +52,6 @@ from .mc import (
     estimate_iterated_jackknife,
     estimate_projected_jackknife,
     estimate_variance,
-    sample_outcome,
     sample_outcomes,
 )
 from .model import (
@@ -84,6 +78,7 @@ __all__ = [
     "DiscreteDistribution",
     "FieldTable",
     "HoeffdingDecomposition",
+    "IdentityResiduals",
     "IndexSet",
     "JackknifeSpectrum",
     "McConfig",
@@ -107,22 +102,15 @@ __all__ = [
     "exact_report",
     "expectation",
     "hoeffding_component",
+    "identity_residuals",
     "iterated_difference_moment",
-    "iterated_jackknife",
     "iterated_variance",
     "iterated_variance_ie",
-    "iterated_variance_ordered",
     "jackknife_spectrum",
     "p0_chain",
     "partial_sum_bracket",
-    "prefix_jackknife",
-    "projected_jackknife",
-    "recursion_check",
-    "sample_outcome",
     "sample_outcomes",
-    "spectrum_identities",
     "subset_masses",
     "tabulate",
     "variance",
-    "variance_identities",
 ]

@@ -20,11 +20,14 @@ bracket is reported and only each p's own validity is guaranteed.
 Residual scale is max(1, E S^2) throughout, so relative tolerances degrade
 gracefully for tiny statistics.
 
+`identity_residuals` is the one place the exact identities are written
+down: the three series for Var S, the prefix recursion, and the three
+cross-identities between the moment families and the degree spectrum.
 `exact_report` takes every moment from the Hoeffding subset masses
-(`hoeffding.subset_masses`), so the series and recursion residuals it
-reports compare the closed forms with the independently computed two-pass
-variance.  `selfcheck` runs the same checks on moments summed from their
-subset definitions, where they cross-check two independent paths.
+(`hoeffding.subset_masses`), so there the residuals compare the closed
+forms with the independently computed two-pass variance.  `selfcheck`
+runs the same routine on moments summed from their subset definitions,
+where it cross-checks two independent paths.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import Optional
 
 from .conditional import CondExpCache
-from .hoeffding import degree_spectrum, spectrum_identities
-from .jackknife import JackknifeSpectrum
+from .hoeffding import degree_spectrum
+from .jackknife import JackknifeSpectrum, factorial
 from .model import ConsistencyError, ModelError, expectation, variance
 
 SPECTRUM_ZERO_REL = 1e-12
@@ -77,25 +80,25 @@ class IdentityResiduals:
     alternating_series: var = sum (-1)^(k+1) ej_k / k!
     mixed_series:       var = ej_1 - sum_{k>=2} (k-1)/k! ek_k
     projected_series:   var = sum ek_k / k!
-    prefix_recursion:   worst residual of the er telescoping chain
-    spectrum_cross:     worst residual of the jackknife/spectrum identities
+    prefix_recursion:   er_1 = var, er_k = ej_{k-1}/(k-1)! - er_{k-1}, n! er_n = ej_n
+    spectrum_total:     ej_k / k! = sum_{j>=k} C(j,k) s_j
+    spectrum_projected: ek_k / k! = s_k
+    spectrum_mix:       ej_k = sum_{j>=k} ek_j / (j-k)!
+
+    The last four are the worst residual over their orders k = 1..n.
     """
 
     alternating_series: float
     mixed_series: float
     projected_series: float
     prefix_recursion: float
-    spectrum_cross: float
+    spectrum_total: float
+    spectrum_projected: float
+    spectrum_mix: float
 
     @property
     def max_residual(self) -> float:
-        return max(
-            self.alternating_series,
-            self.mixed_series,
-            self.projected_series,
-            self.prefix_recursion,
-            self.spectrum_cross,
-        )
+        return max(asdict(self).values())
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,7 @@ class DegreeBound:
 
 
 def _alternating_terms(upto: int) -> tuple:
-    return tuple(("ej", k, (-1.0) ** (k + 1) / math.factorial(k)) for k in range(1, upto + 1))
+    return tuple(("ej", k, (-1.0) ** (k + 1) / factorial(k)) for k in range(1, upto + 1))
 
 
 def bracket_terms(n: int, p: int) -> dict[str, tuple]:
@@ -121,17 +124,17 @@ def bracket_terms(n: int, p: int) -> dict[str, tuple]:
     Each scalar is sum coef * moment, where family "ej" is the total and
     "ek" the projected moment of that order.  `partial_sum_bracket`
     evaluates the terms on exact moments, `mc.assemble_bracket` on
-    estimates.
+    estimates.  An order whose k! leaves the float range raises.
     """
     if not 1 <= p <= n // 2:
         raise ModelError(f"p={p} out of range 1..{n // 2}")
     upper_j = _alternating_terms(2 * p - 1)
     lower_j = _alternating_terms(2 * p)
-    correction = (("ek", 2 * p + 1, 1.0 / math.factorial(2 * p + 1)),) if 2 * p + 1 <= n else ()
+    correction = (("ek", 2 * p + 1, 1.0 / factorial(2 * p + 1)),) if 2 * p + 1 <= n else ()
     return {
         "lower_j": lower_j,
         "lower_jk": lower_j + correction,
-        "upper_jk": upper_j + (("ek", 2 * p, -1.0 / math.factorial(2 * p)),),
+        "upper_jk": upper_j + (("ek", 2 * p, -1.0 / factorial(2 * p)),),
         "upper_j": upper_j,
     }
 
@@ -164,34 +167,42 @@ def p0_chain(jack: JackknifeSpectrum, var_exact: float) -> P0Chain:
     )
 
 
-def variance_identities(jack: JackknifeSpectrum, var_exact: float) -> tuple[float, float, float]:
-    """Residuals of the three exact series for Var S (alternating, mixed, projected)."""
-    n = jack.n
-    alternating = abs(var_exact - _evaluate(jack, _alternating_terms(n)))
-    mixed = abs(
-        var_exact
-        - (jack.ej[0] - sum((k - 1) / math.factorial(k) * jack.ek[k - 1] for k in range(2, n + 1)))
-    )
-    projected = abs(var_exact - sum(jack.ek[k - 1] / math.factorial(k) for k in range(1, n + 1)))
-    return alternating, mixed, projected
+def identity_residuals(jack: JackknifeSpectrum, spectrum, var_exact: float) -> IdentityResiduals:
+    """Absolute residuals of every exact identity between the moments, spectrum and Var S.
 
-
-def recursion_check(jack: JackknifeSpectrum, var_exact: float) -> float:
-    """Worst residual of the prefix-moment telescoping chain.
-
-    er_1 = var, er_k = ej_{k-1}/(k-1)! - er_{k-1} for k = 2..n, and the
-    terminal identity n! er_n = ej_n.  Moments derived from the spectrum
-    satisfy it by construction; on the definitional sums that `selfcheck`
-    builds it genuinely cross-checks the recursion.
+    On moments derived from the spectrum the cross-identities and the
+    recursion hold by construction; on the definitional sums that
+    `selfcheck` builds they genuinely cross-check two paths.
     """
+    spectrum = tuple(float(x) for x in spectrum)
     n = jack.n
-    residuals = [abs(jack.er[0] - var_exact)]
+    if len(spectrum) != n:
+        raise ModelError(f"spectrum has {len(spectrum)} degrees for n={n}")
+    mixed = jack.ej[0] - sum((k - 1) / math.factorial(k) * jack.ek[k - 1] for k in range(2, n + 1))
+    projected = sum(jack.ek[k - 1] / math.factorial(k) for k in range(1, n + 1))
+    recursion = [abs(jack.er[0] - var_exact)]
     for k in range(2, n + 1):
-        residuals.append(
+        recursion.append(
             abs(jack.er[k - 1] - (jack.ej[k - 2] / math.factorial(k - 1) - jack.er[k - 2]))
         )
-    residuals.append(abs(math.factorial(n) * jack.er[n - 1] - jack.ej[n - 1]))
-    return max(residuals)
+    recursion.append(abs(math.factorial(n) * jack.er[n - 1] - jack.ej[n - 1]))
+    total, proj, mix = [], [], []
+    for k in range(1, n + 1):
+        kf = math.factorial(k)
+        from_spectrum = sum(math.comb(j, k) * spectrum[j - 1] for j in range(k, n + 1))
+        total.append(abs(jack.ej[k - 1] / kf - from_spectrum))
+        proj.append(abs(jack.ek[k - 1] / kf - spectrum[k - 1]))
+        from_projected = sum(jack.ek[j - 1] / math.factorial(j - k) for j in range(k, n + 1))
+        mix.append(abs(jack.ej[k - 1] - from_projected))
+    return IdentityResiduals(
+        alternating_series=abs(var_exact - _evaluate(jack, _alternating_terms(n))),
+        mixed_series=abs(var_exact - mixed),
+        projected_series=abs(var_exact - projected),
+        prefix_recursion=max(recursion),
+        spectrum_total=max(total),
+        spectrum_projected=max(proj),
+        spectrum_mix=max(mix),
+    )
 
 
 def degree_bound(
@@ -282,14 +293,6 @@ def exact_report(cache: CondExpCache, p_values=None) -> BoundsReport:
     jack = JackknifeSpectrum.from_spectrum(spectrum_raw, scale)
     var_exact = variance(cache.base)
 
-    alternating, mixed, projected = variance_identities(jack, var_exact)
-    residuals = IdentityResiduals(
-        alternating_series=alternating,
-        mixed_series=mixed,
-        projected_series=projected,
-        prefix_recursion=recursion_check(jack, var_exact),
-        spectrum_cross=spectrum_identities(spectrum_raw, jack).max_residual,
-    )
     if p_values is None:
         brackets = all_brackets(jack)
     else:
@@ -306,6 +309,6 @@ def exact_report(cache: CondExpCache, p_values=None) -> BoundsReport:
         spectrum_raw=spectrum_raw,
         brackets=brackets,
         p0_chain=p0_chain(jack, var_exact),
-        identity_residuals=residuals,
+        identity_residuals=identity_residuals(jack, spectrum_raw, var_exact),
         corollary=degree_bound(spectrum_raw, jack, var_exact, scale),
     )

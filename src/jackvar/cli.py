@@ -28,6 +28,8 @@ statistic params per kind:
   ustat2 {"g": [[support_value, g_value], ...]}
   poly   {"terms": [[coef, [e_1..e_n]], ...]}
 
+A field outside this schema is refused (exit 1), never ignored.
+
 JSON reals are emitted with Python's shortest round-trip repr, so parsing
 the report back yields bit-identical floats.
 """
@@ -45,7 +47,7 @@ from . import __version__
 from .bounds import BoundsReport, exact_report
 from .conditional import CondExpCache
 from .mc import McConfig, assemble_bracket, estimate_variance, moment_estimates
-from .model import DiscreteDistribution, GridSizeError, ModelError, ProductSpace, \
+from .model import DiscreteDistribution, ModelError, NonFiniteError, ProductSpace, \
     Statistic, build_space, tabulate
 from .selfcheck import run_battery
 
@@ -53,6 +55,13 @@ ENGINES = ("exact", "mc", "both")
 FORMATS = ("json", "csv", "both")
 
 CSV_COLUMNS = ("p", "lower_J", "lower_JK", "var", "upper_JK", "upper_J")
+
+# the documented schema: every field each config object may hold
+ROOT_FIELDS = ("distributions", "statistic", "engine", "mc", "bounds", "output")
+MC_FIELDS = ("seed", "outer_samples", "inner_pairs", "ks", "subset_mode")
+STATISTIC_PARAMS = {
+    "table": ("values",), "sum": ("weights",), "max": (), "ustat2": ("g",), "poly": ("terms",),
+}
 
 
 class ConfigError(ValueError):
@@ -68,6 +77,13 @@ class InstanceConfig:
     p_values: list | None  # None = all valid p
     out_format: str
     out_path: str
+
+
+def _known(d: dict, keys: tuple, where: str) -> None:
+    """Refuse any field outside the documented schema rather than ignore it."""
+    unknown = [key for key in d if key not in keys]
+    if unknown:
+        raise ConfigError(f"{where}: unknown field {unknown[0]!r}; expected one of {keys}")
 
 
 def _need(d: dict, key: str, where: str):
@@ -96,10 +112,15 @@ def _integer(x, where: str) -> int:
 
 
 def _parse_statistic(d, where: str) -> Statistic:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object")
+    _known(d, ("kind", "params"), where)
     kind = _need(d, "kind", where)
     params = d.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"{where}.params: expected an object")
+    if kind in STATISTIC_PARAMS:
+        _known(params, STATISTIC_PARAMS[kind], f"{where}.params")
     try:
         if kind == "table":
             return Statistic.table(_reals(_need(params, "values", f"{where}.params"), f"{where}.params.values"))
@@ -136,6 +157,7 @@ def _parse_statistic(d, where: str) -> Statistic:
 def parse_config(raw: dict) -> InstanceConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root: expected a JSON object")
+    _known(raw, ROOT_FIELDS, "config root")
     dists_raw = _need(raw, "distributions", "config root")
     if not isinstance(dists_raw, list) or not dists_raw:
         raise ConfigError("distributions: expected a non-empty array")
@@ -144,6 +166,7 @@ def parse_config(raw: dict) -> InstanceConfig:
         where = f"distributions[{i}]"
         if not isinstance(d, dict):
             raise ConfigError(f"{where}: expected an object")
+        _known(d, ("support", "probs"), where)
         support = _reals(_need(d, "support", where), f"{where}.support")
         probs = _reals(_need(d, "probs", where), f"{where}.probs")
         try:
@@ -170,6 +193,7 @@ def parse_config(raw: dict) -> InstanceConfig:
         mc_raw = raw.get("mc")
         if not isinstance(mc_raw, dict):
             raise ConfigError("mc: section required when engine includes mc")
+        _known(mc_raw, MC_FIELDS, "mc")
         ks = mc_raw.get("ks")
         if ks is not None:
             if not isinstance(ks, list):
@@ -196,6 +220,7 @@ def parse_config(raw: dict) -> InstanceConfig:
     bounds_raw = raw.get("bounds", {})
     if not isinstance(bounds_raw, dict):
         raise ConfigError("bounds: expected an object")
+    _known(bounds_raw, ("p_values",), "bounds")
     pv = bounds_raw.get("p_values", "all")
     if pv != "all":
         if not isinstance(pv, list):
@@ -211,6 +236,7 @@ def parse_config(raw: dict) -> InstanceConfig:
     out_raw = raw.get("output", {})
     if not isinstance(out_raw, dict):
         raise ConfigError("output: expected an object")
+    _known(out_raw, ("format", "path"), "output")
     out_format = out_raw.get("format", "json")
     if out_format not in FORMATS:
         raise ConfigError(f"output.format: expected one of {FORMATS}, got {out_format!r}")
@@ -322,12 +348,14 @@ def cmd_run(args) -> int:
     mc_section = None
     try:
         if cfg.engine in ("exact", "both"):
+            where = "exact engine"
             cache = CondExpCache(tabulate(cfg.statistic, cfg.space))
             report = exact_report(cache, p_values=cfg.p_values)
         if cfg.engine in ("mc", "both"):
+            where = "mc engine"
             mc_section = _mc_section(cfg)
-    except ModelError as e:  # an exact array over the cap, or the statistic overflows
-        where = "exact engine" if isinstance(e, GridSizeError) else "statistic"
+    except ModelError as e:  # a size, order or sampler limit of the engine, or S overflows
+        where = "statistic" if isinstance(e, NonFiniteError) else where
         print(f"error: {args.config}: {where}: {e}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - t0

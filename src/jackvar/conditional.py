@@ -39,6 +39,7 @@ import numpy as np
 from .model import (
     ConsistencyError,
     FieldTable,
+    IndexSet,
     ModelError,
     ProductSpace,
     as_index_set,
@@ -70,11 +71,6 @@ def cond_mean_mask(space: ProductSpace, arr: np.ndarray, mask: int) -> np.ndarra
     return arr
 
 
-def var_single(space: ProductSpace, arr: np.ndarray, coord: int) -> np.ndarray:
-    m = axis_mean(space, arr, coord)
-    return axis_mean(space, (arr - m) ** 2, coord)
-
-
 def var_sequence(space: ProductSpace, arr: np.ndarray, order) -> np.ndarray:
     """Iterated conditional variance along an explicit index sequence.
 
@@ -87,32 +83,11 @@ def var_sequence(space: ProductSpace, arr: np.ndarray, order) -> np.ndarray:
     head = order[0]
     rest = order[1:]
     if not rest:
-        return var_single(space, arr, head)
+        m = axis_mean(space, arr, head)
+        return axis_mean(space, (arr - m) ** 2, head)
     a = axis_mean(space, var_sequence(space, arr, rest), head)
     b = var_sequence(space, axis_mean(space, arr, head), rest)
     return a - b
-
-
-def var_mask_ie(space: ProductSpace, arr: np.ndarray, mask: int,
-                cond_of_base=None) -> np.ndarray:
-    """Closed-form iterated variance via inclusion-exclusion; unclamped.
-
-    var(I) f = sum_{J subset I} (-1)^|J| avg_{I\\J}((avg_J f)^2).  When
-    `cond_of_base(submask)` is given it supplies the memoized avg_J f
-    tables; otherwise they are recomputed.
-    """
-    if mask == 0:
-        raise ModelError("iterated variance needs a nonempty index set")
-    acc = np.zeros(space.shape)
-    sub = mask
-    while True:
-        inner = cond_of_base(sub) if cond_of_base else cond_mean_mask(space, arr, sub)
-        sign = -1.0 if bin(sub).count("1") % 2 else 1.0
-        acc = acc + sign * cond_mean_mask(space, inner * inner, mask & ~sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    return acc
 
 
 class CondExpCache:
@@ -132,13 +107,9 @@ class CondExpCache:
         self.scale = max(1.0, float(np.sum(self.space.joint_weights() * base.array**2)))
         self.clamp_eps = CLAMP_REL * self.scale
 
-    def _mask_of(self, indices) -> int:
-        iset = as_index_set(indices).check_range(self.space.n)
-        return iset.mask
-
     def cond_expect(self, indices) -> FieldTable:
         """The base function averaged over the coordinates in `indices`."""
-        return self._expect_mask(self._mask_of(indices))
+        return self._expect_mask(as_index_set(indices).check_range(self.space.n).mask)
 
     def _expect_mask(self, mask: int) -> FieldTable:
         hit = self._tables.get(mask)
@@ -150,16 +121,6 @@ class CondExpCache:
         table = FieldTable(self.space, arr)
         self._tables[mask] = table
         return table
-
-    def prefix_expect(self, i: int) -> FieldTable:
-        """Condition ON the first i coordinates: average out {i+1, ..., n}.
-
-        i = 0 gives the constant E base, i = n gives base itself.
-        """
-        n = self.space.n
-        if not 0 <= i <= n:
-            raise ModelError(f"prefix index {i} out of range 0..{n}")
-        return self._expect_mask(((1 << n) - 1) & ~((1 << i) - 1))
 
     def mean(self) -> float:
         return float(self._expect_mask((1 << self.space.n) - 1).array.flat[0])
@@ -178,48 +139,45 @@ class CondExpCache:
 
 
 def iterated_variance(cache: CondExpCache, indices) -> FieldTable:
-    """Iterated conditional variance of the base along a coordinate set.
+    """Iterated conditional variance of the base along a coordinate sequence.
 
-    Computed by the defining recursion in ascending index order; the result
-    is constant along every coordinate in the set and non-negative after
-    the documented clamp.
+    Follows the defining recursion in the order given: an `IndexSet` or a
+    single int runs ascending, any other iterable in its own order, so
+    order-irrelevance can be tested against the ascending path.  Repeated
+    coordinates are refused.  The result is constant along every coordinate
+    in the sequence and non-negative after the documented clamp.
     """
-    iset = as_index_set(indices).check_range(cache.space.n)
-    if len(iset) == 0:
-        raise ModelError("iterated variance needs a nonempty index set")
-    raw = var_sequence(cache.space, cache.base.array, iset.indices)
-    arr = cache.clamp(raw, f"iterated_variance({iset.indices})")
-    return FieldTable(cache.space, arr)
-
-
-def iterated_variance_ordered(cache: CondExpCache, order) -> FieldTable:
-    """Same quantity, but following the recursion along an explicit order.
-
-    Exists so order-irrelevance can be tested against the canonical path.
-    """
-    order = [int(i) for i in order]
+    if isinstance(indices, (int, IndexSet)):
+        order = list(as_index_set(indices))
+    else:
+        order = [int(i) for i in indices]
     if len(set(order)) != len(order):
-        raise ModelError("index sequence must be distinct")
+        raise ModelError(f"index sequence {order} repeats a coordinate")
     as_index_set(order).check_range(cache.space.n)
     raw = var_sequence(cache.space, cache.base.array, order)
-    arr = cache.clamp(raw, f"iterated_variance_ordered({order})")
+    arr = cache.clamp(raw, f"iterated_variance({tuple(order)})")
     return FieldTable(cache.space, arr)
 
 
 def iterated_variance_ie(cache: CondExpCache, indices) -> FieldTable:
     """Inclusion-exclusion form of the iterated variance (oracle path).
 
-    Non-recursive: every term comes straight from the cache's memoized
-    conditional means.  Must agree pointwise with `iterated_variance`.
+    var(I) f = sum_{J subset I} (-1)^|J| avg_{I\\J}((avg_J f)^2), with every
+    avg_J f taken from the cache's memoized conditional means; non-recursive.
+    Must agree pointwise with `iterated_variance`.
     """
     iset = as_index_set(indices).check_range(cache.space.n)
     if len(iset) == 0:
         raise ModelError("iterated variance needs a nonempty index set")
-    raw = var_mask_ie(
-        cache.space,
-        cache.base.array,
-        iset.mask,
-        cond_of_base=lambda sub: cache._expect_mask(sub).array,
-    )
+    mask = iset.mask
+    raw = np.zeros(cache.space.shape)
+    sub = mask
+    while True:
+        inner = cache._expect_mask(sub).array
+        sign = -1.0 if bin(sub).count("1") % 2 else 1.0
+        raw = raw + sign * cond_mean_mask(cache.space, inner * inner, mask & ~sub)
+        if sub == 0:
+            break
+        sub = (sub - 1) & mask
     arr = cache.clamp(raw, f"iterated_variance_ie({iset.indices})")
     return FieldTable(cache.space, arr)

@@ -20,8 +20,8 @@ spectrum (Hoeffding 1948; Efron & Stein 1981):
     projected_k / k! = Var f_k
     total_k          = sum_{j>=k} projected_j / (j-k)!
 
-`spectrum_identities` evaluates all three.  On moments derived from the
-masses they hold by construction; `selfcheck` runs them against moments
+`bounds.identity_residuals` evaluates all three.  On moments derived from
+the masses they hold by construction; `selfcheck` runs them against moments
 summed from their subset definitions, which is where they test something.
 
 The component tables themselves (`decompose`) are built by Moebius
@@ -32,17 +32,13 @@ peel-off construction and their masses against `subset_masses`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .conditional import CondExpCache, axis_mean
 from .model import FieldTable, IndexSet, ModelError, ProductSpace, as_index_set
-
-if TYPE_CHECKING:
-    from .jackknife import JackknifeSpectrum
 
 
 def subset_masses(space: ProductSpace, arr) -> np.ndarray:
@@ -115,12 +111,6 @@ class HoeffdingDecomposition:
     def n(self) -> int:
         return len(self.spectrum)
 
-    def component(self, indices) -> FieldTable:
-        return self.components[as_index_set(indices)]
-
-    def mass(self, indices) -> float:
-        return self.masses[as_index_set(indices)]
-
     def superset_mass(self, indices) -> float:
         """Sum of E h_J^2 over supersets J of the given subset."""
         iset = as_index_set(indices)
@@ -167,39 +157,3 @@ def degree_spectrum(cache: CondExpCache) -> tuple[float, ...]:
     """Variance carried by each interaction degree d = 1..n."""
     return _by_degree(subset_masses(cache.space, cache.base.array), cache.space.n)
 
-
-@dataclass(frozen=True)
-class SpectrumResiduals:
-    """Residuals of the three jackknife/spectrum cross-identities, per order."""
-
-    total_vs_spectrum: tuple[float, ...]
-    projected_vs_spectrum: tuple[float, ...]
-    total_vs_projected: tuple[float, ...]
-
-    @property
-    def max_residual(self) -> float:
-        return max(
-            max(self.total_vs_spectrum),
-            max(self.projected_vs_spectrum),
-            max(self.total_vs_projected),
-        )
-
-    def passes(self, scale: float, tol: float = 1e-9) -> bool:
-        return self.max_residual <= tol * scale
-
-
-def spectrum_identities(spectrum, jack: JackknifeSpectrum) -> SpectrumResiduals:
-    """Check the spectrum against both jackknife families at every order."""
-    spectrum = tuple(float(x) for x in spectrum)
-    n = jack.n
-    if len(spectrum) != n:
-        raise ModelError(f"spectrum has {len(spectrum)} degrees for n={n}")
-    a, b, c = [], [], []
-    for k in range(1, n + 1):
-        kf = math.factorial(k)
-        from_spectrum = sum(math.comb(j, k) * spectrum[j - 1] for j in range(k, n + 1))
-        a.append(abs(jack.ej[k - 1] / kf - from_spectrum))
-        b.append(abs(jack.ek[k - 1] / kf - spectrum[k - 1]))
-        mix = sum(jack.ek[j - 1] / math.factorial(j - k) for j in range(k, n + 1))
-        c.append(abs(jack.ej[k - 1] - mix))
-    return SpectrumResiduals(tuple(a), tuple(b), tuple(c))

@@ -1,17 +1,17 @@
 """Iterated jackknife moments and the classical data-side jackknife.
 
 Three families of expected moments, defined as sums over sorted k-subsets I
-of the coordinates:
+of the coordinates, all held by `JackknifeSpectrum` for k = 1..n:
 
-  * iterated_jackknife  E[ k! * sum_I var(I) S ]            -- order-k total
-  * projected_jackknife E[ k! * sum_I var(I) avg_{~I} S ]   -- S first
-    projected onto the coordinates of I by averaging out the complement
-  * prefix_jackknife    E[ sum_I var(I) avg_{1..min(I)-1} S ] -- each term
-    pre-smoothed over the coordinates before the subset's first index
+  * ej, the total moment      E[ k! * sum_I var(I) S ]
+  * ek, the projected moment  E[ k! * sum_I var(I) avg_{~I} S ], with S
+    first projected onto the coordinates of I by averaging out the complement
+  * er, the prefix moment     E[ sum_I var(I) avg_{1..min(I)-1} S ], each
+    term pre-smoothed over the coordinates before the subset's first index
 
 The projected moment never exceeds the total one (Jensen), and the prefix
-family interpolates: total/k! >= prefix >= projected/k!, with the telescoping
-recursion prefix_k = total_{k-1}/(k-1)! - prefix_{k-1} checked in `bounds`.
+family interpolates: ej_k/k! >= er_k >= ek_k/k!, with the telescoping
+recursion er_k = ej_{k-1}/(k-1)! - er_{k-1} checked in `bounds`.
 
 None of the three is computed from its definition here.  E var(I) S is the
 Hoeffding mass of the supersets of I, so every family is a linear image of
@@ -20,7 +20,9 @@ the degree spectrum s (`hoeffding.subset_masses`):
     EK_k = k! s_k,   EJ_k = k! sum_{j>=k} C(j,k) s_j,
     ER_k = sum_{j>=k} C(j-1,k-1) s_j.
 
-Sums of squares cannot go negative, so no clamping is needed.  The
+Sums of squares cannot go negative, so no clamping is needed.  k! leaves
+the float range at k = 171, so `factorial` refuses such orders, and a
+moment that overflows is refused rather than returned as inf.  The
 definitional subset sums run in `selfcheck.check_instance` and the tests,
 as the independent oracle for these closed forms, together with
 `iterated_difference_moment`.
@@ -40,6 +42,14 @@ from .hoeffding import degree_spectrum
 from .model import ConsistencyError, FieldTable, ModelError, as_index_set
 
 
+def factorial(k: int) -> float:
+    """k! as a float; an order whose k! leaves the float range (k >= 171) raises."""
+    try:
+        return float(math.factorial(k))
+    except OverflowError:
+        raise ModelError(f"order k={k}: k! exceeds the float range, which ends at 170!") from None
+
+
 @dataclass(frozen=True)
 class JackknifeSpectrum:
     """All three moment families for k = 1..n."""
@@ -56,51 +66,29 @@ class JackknifeSpectrum:
         s = tuple(float(x) for x in spectrum)
         n = len(s)
         orders = range(1, n + 1)
-        return cls(
+        out = cls(
             n=n,
             scale=scale,
             ej=tuple(
-                math.factorial(k) * math.fsum(math.comb(j, k) * s[j - 1] for j in range(k, n + 1))
+                factorial(k) * math.fsum(math.comb(j, k) * s[j - 1] for j in range(k, n + 1))
                 for k in orders
             ),
-            ek=tuple(math.factorial(k) * s[k - 1] for k in orders),
+            ek=tuple(factorial(k) * s[k - 1] for k in orders),
             er=tuple(
                 math.fsum(math.comb(j - 1, k - 1) * s[j - 1] for j in range(k, n + 1))
                 for k in orders
             ),
         )
+        for family in ("ej", "ek", "er"):
+            for k, value in enumerate(getattr(out, family), 1):
+                if not math.isfinite(value):
+                    raise ModelError(f"order k={k}: {family}_{k} = {value} leaves the float range")
+        return out
 
 
 def jackknife_spectrum(cache: CondExpCache) -> JackknifeSpectrum:
     """All three families for every order, from one pass over the masses."""
     return JackknifeSpectrum.from_spectrum(degree_spectrum(cache), cache.scale)
-
-
-def _check_k(cache: CondExpCache, k: int) -> None:
-    n = cache.space.n
-    if not 1 <= k <= n:
-        raise ModelError(f"order k={k} out of range 1..{n}")
-
-
-def iterated_jackknife(cache: CondExpCache, k: int) -> float:
-    """k! times the sum over sorted k-subsets of E[var(I) base]."""
-    _check_k(cache, k)
-    return jackknife_spectrum(cache).ej[k - 1]
-
-
-def projected_jackknife(cache: CondExpCache, k: int) -> float:
-    """Same sum with the base first averaged over each subset's complement."""
-    _check_k(cache, k)
-    return jackknife_spectrum(cache).ek[k - 1]
-
-
-def prefix_jackknife(cache: CondExpCache, k: int) -> float:
-    """Sum over k-subsets of E[var(I) applied to the prefix-averaged base].
-
-    For k=1 this telescopes to the plain variance of the base.
-    """
-    _check_k(cache, k)
-    return jackknife_spectrum(cache).er[k - 1]
 
 
 def iterated_difference_moment(table: FieldTable, indices) -> float:

@@ -80,7 +80,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import bracket_terms
-from .model import ModelError, ProductSpace, Statistic, as_index_set
+from .jackknife import factorial
+from .model import ModelError, NonFiniteError, ProductSpace, Statistic, as_index_set
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
@@ -219,12 +220,6 @@ def _indices_from_uniform(cdfs, u: np.ndarray, coords=None) -> np.ndarray:
     return idx
 
 
-def sample_outcome(space: ProductSpace, rng: np.random.Generator) -> tuple[float, ...]:
-    """One joint outcome drawn from the product law."""
-    idx = _indices_from_uniform(_cdfs(space), rng.random(space.n))
-    return tuple(d.support[i] for d, i in zip(space.dists, idx))
-
-
 def sample_outcomes(space: ProductSpace, count: int, seed: int, start: int = 0) -> np.ndarray:
     """(count, n) outcome values; row i depends only on (seed, start + i)."""
     u = _uniform_block(seed, TAG_OUTCOME, start, count, space.n)
@@ -245,7 +240,7 @@ def _contributions(space, statistic, cfg, tag, width, contribute, start=0, count
         for lo in range(start, stop, BLOCK_ROWS)
     ])
     if not np.isfinite(out).all():
-        raise ModelError("the statistic overflows on sampled outcomes: non-finite contributions")
+        raise NonFiniteError("the statistic overflows on sampled outcomes: non-finite contributions")
     return out
 
 
@@ -312,9 +307,11 @@ def _over_subsets(cfg: McConfig, n: int, k: int, rank_u: np.ndarray, term, weigh
     return (weight * n_subsets) * term(_unrank_combinations(ranks, n, k))
 
 
-def _check_k(space: ProductSpace, k: int):
+def _check_k(space: ProductSpace, k: int) -> float:
+    """k! for an order in 1..n; an order out of range or past the float range of k! raises."""
     if not 1 <= k <= space.n:
         raise ModelError(f"order k={k} out of range 1..{space.n}")
+    return factorial(k)
 
 
 def _estimate_from(contribs: np.ndarray, flag_negative: bool = False) -> McEstimate:
@@ -334,7 +331,7 @@ def estimate_iterated_jackknife(
     space: ProductSpace, statistic: Statistic, k: int, cfg: McConfig
 ) -> McEstimate:
     """Unbiased estimate of the order-k total jackknife moment."""
-    _check_k(space, k)
+    kf = _check_k(space, k)
     n = space.n
 
     def contribute(cdfs, u):
@@ -345,7 +342,7 @@ def estimate_iterated_jackknife(
             d = _alternating_eval(space, statistic, x, y, pos)
             return d * d
 
-        weight = math.factorial(k) / 2.0**k
+        weight = kf / 2.0**k
         return _over_subsets(cfg, n, k, u[:, 2 * n], squared_difference, weight)
 
     return _estimate_from(
@@ -361,7 +358,7 @@ def estimate_projected_jackknife(
     May be negative on finite samples even though the target is >= 0; such
     estimates are returned unclamped with flagged_negative set.
     """
-    _check_k(space, k)
+    kf = _check_k(space, k)
     n = space.n
     m = cfg.inner_pairs
     sign = (-1.0) ** k  # h = (-1)^k * alternating sum with completion as base
@@ -379,7 +376,7 @@ def estimate_projected_jackknife(
                 acc += h1 * h2
             return acc / m
 
-        return _over_subsets(cfg, n, k, u[:, -1], pair_products, float(math.factorial(k)))
+        return _over_subsets(cfg, n, k, u[:, -1], pair_products, kf)
 
     contribs = _contributions(
         space, statistic, cfg, TAG_PROJECTED_BASE + k, n + 2 * m * n + 1, contribute

@@ -43,6 +43,10 @@ class GridSizeError(ModelError):
     """An exact array would hold more float64 values than the space's cap."""
 
 
+class NonFiniteError(ModelError):
+    """A statistic evaluates to inf or NaN on the grid or on sampled outcomes."""
+
+
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed far beyond numerical noise.
 
@@ -485,7 +489,7 @@ def tabulate(statistic: Statistic, space: ProductSpace) -> FieldTable:
     grid = statistic.on_grid(space)
     if not np.isfinite(grid).all():
         flat = int(np.flatnonzero(~np.isfinite(grid.ravel(order="F")))[0])
-        raise ModelError(f"{statistic.kind} statistic is not finite at outcome {space.outcome(flat)}")
+        raise NonFiniteError(f"{statistic.kind} statistic is not finite at outcome {space.outcome(flat)}")
     return FieldTable(space, grid)
 
 

@@ -13,9 +13,9 @@ constant statistics) are legitimate draws and must pass like any other.
 The library computes every jackknife moment from the Hoeffding subset
 masses.  This module is where the independent paths run: it sums the three
 moment families from their subset definitions (recursive iterated
-variances, projected and prefix-smoothed), runs the series, recursion and
-spectrum identities on those sums, and compares them with the mass-derived
-moments (`oracle_vs_masses`).
+variances, projected and prefix-smoothed), runs `bounds.identity_residuals`
+on those sums, and compares them with the mass-derived moments
+(`oracle_vs_masses`).
 """
 
 from __future__ import annotations
@@ -23,22 +23,21 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bounds import all_brackets, p0_chain, recursion_check, variance_identities
+from .bounds import all_brackets, identity_residuals, p0_chain
 from .conditional import (
     CondExpCache,
     axis_mean,
     cond_mean_mask,
     iterated_variance,
     iterated_variance_ie,
-    iterated_variance_ordered,
     var_sequence,
 )
-from .hoeffding import decompose, spectrum_identities
-from .jackknife import JackknifeSpectrum, iterated_difference_moment, jackknife_spectrum
+from .hoeffding import decompose
+from .jackknife import JackknifeSpectrum, iterated_difference_moment
 from .model import (
     DiscreteDistribution,
     IndexSet,
@@ -96,8 +95,8 @@ def check_instance(space, statistic, perm_rng: np.random.Generator) -> InstanceC
     base = tabulate(statistic, space)
     cache = CondExpCache(base)
     scale = cache.scale
-    jack = jackknife_spectrum(cache)
     decomp = decompose(cache)
+    jack = JackknifeSpectrum.from_spectrum(decomp.spectrum, scale)
     var_exact = variance(base)
     n = space.n
     w = space.joint_weights()
@@ -130,7 +129,7 @@ def check_instance(space, statistic, perm_rng: np.random.Generator) -> InstanceC
         if len(iset) >= 2:
             order = list(iset.indices)
             perm_rng.shuffle(order)
-            permuted = iterated_variance_ordered(cache, order)
+            permuted = iterated_variance(cache, order)
             orders = max(orders, _amax(rec.array - permuted.array))
         e_var = float(np.sum(w * rec.array))
         superset = max(superset, abs(e_var - decomp.superset_mass(iset)))
@@ -164,17 +163,8 @@ def check_instance(space, statistic, perm_rng: np.random.Generator) -> InstanceC
         for a, b in zip(getattr(oracle, family), getattr(jack, family))
     )
 
-    # series identities for the exact variance, on the definitional sums
-    alt, mixed, proj = variance_identities(oracle, var_exact)
-    res["alternating_series"] = alt
-    res["mixed_series"] = mixed
-    res["projected_series"] = proj
-    res["prefix_recursion"] = recursion_check(oracle, var_exact)
-
-    spec_res = spectrum_identities(decomp.spectrum, oracle)
-    res["spectrum_total"] = max(spec_res.total_vs_spectrum)
-    res["spectrum_projected"] = max(spec_res.projected_vs_spectrum)
-    res["spectrum_mix"] = max(spec_res.total_vs_projected)
+    # the series, recursion and spectrum identities, on the definitional sums
+    res.update(asdict(identity_residuals(oracle, decomp.spectrum, var_exact)))
 
     # two-index decomposition: var(i,j) = avg_ij (S - avg_ij S)^2
     #                                      - var(i) avg_j S - var(j) avg_i S

@@ -1,10 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 import jackvar as jv
-from jackvar import conditional, hoeffding, jackknife
+from jackvar import bounds, conditional, hoeffding, jackknife
 from jackvar.selfcheck import random_instance
 
 
@@ -32,8 +33,9 @@ class TestBracketFixtures:
         jack = jv.jackknife_spectrum(cache)
         b = jv.partial_sum_bracket(jack, 1)
         assert (b.lower_j, b.lower_jk, b.upper_jk, b.upper_j) == (0.0, 0.0, 0.0, 0.0)
-        assert jv.recursion_check(jack, 0.0) == 0.0
-        assert jv.spectrum_identities(jv.degree_spectrum(cache), jack).max_residual == 0.0
+        res = jv.identity_residuals(jack, jv.degree_spectrum(cache), 0.0)
+        assert res.prefix_recursion == 0.0
+        assert max(res.spectrum_total, res.spectrum_projected, res.spectrum_mix) == 0.0
 
     def test_p_out_of_range(self, u2_cache):
         jack = jv.jackknife_spectrum(u2_cache)
@@ -56,12 +58,27 @@ class TestBracketFixtures:
                 assert b.upper_jk <= b.upper_j + tol
 
 
+def _residuals(cache):
+    """`identity_residuals` on the moments and spectrum of one cached instance."""
+    jack = jv.jackknife_spectrum(cache)
+    return jv.identity_residuals(jack, jv.degree_spectrum(cache), jv.variance(cache.base))
+
+
+def _series(res) -> float:
+    return max(res.alternating_series, res.mixed_series, res.projected_series)
+
+
+def test_bracket_orders_past_170_are_refused():
+    # p = 85 at n = 171 corrects with order 2p + 1 = 171, whose 1/k! is below the float range
+    with pytest.raises(jv.ModelError, match=r"order k=171"):
+        bounds.bracket_terms(171, 85)
+    assert bounds.bracket_terms(170, 85)["upper_jk"][-1] == ("ek", 170, -1.0 / math.factorial(170))
+
+
 class TestVarianceIdentities:
     def test_fixture_residuals(self, prod_cache, sum_cache, u2_cache):
         for cache in (prod_cache, sum_cache, u2_cache):
-            jack = jv.jackknife_spectrum(cache)
-            var = jv.variance(cache.base)
-            assert max(jv.variance_identities(jack, var)) <= 1e-12
+            assert _series(_residuals(cache)) <= 1e-12
 
     def test_rad2_prod_arithmetic(self, prod_cache):
         # var = 2 - 2/2 = ej1 - (1/2) ek2 = 0 + 2/2
@@ -75,24 +92,20 @@ class TestVarianceIdentities:
         for _ in range(15):
             space, stat = random_instance(rng)
             cache = jv.CondExpCache(jv.tabulate(stat, space))
-            jack = jv.jackknife_spectrum(cache)
-            var = jv.variance(cache.base)
-            assert max(jv.variance_identities(jack, var)) <= 1e-9 * cache.scale
+            assert _series(_residuals(cache)) <= 1e-9 * cache.scale
 
 
 class TestRecursionCheck:
     def test_fixtures(self, prod_cache, u2_cache):
         for cache in (prod_cache, u2_cache):
-            jack = jv.jackknife_spectrum(cache)
-            assert jv.recursion_check(jack, jv.variance(cache.base)) <= 1e-12
+            assert _residuals(cache).prefix_recursion <= 1e-12
 
     def test_random(self):
         rng = np.random.Generator(np.random.Philox(key=101))
         for _ in range(15):
             space, stat = random_instance(rng)
             cache = jv.CondExpCache(jv.tabulate(stat, space))
-            jack = jv.jackknife_spectrum(cache)
-            assert jv.recursion_check(jack, jv.variance(cache.base)) <= 1e-9 * cache.scale
+            assert _residuals(cache).prefix_recursion <= 1e-9 * cache.scale
 
 
 class TestP0Chain:

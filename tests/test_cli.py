@@ -346,10 +346,10 @@ class TestSelfcheck:
         # sign-flip the alternating series: the battery must fail with exit 2
         import jackvar.selfcheck as sc
 
-        real = sc.variance_identities
+        real = sc.identity_residuals
 
-        def flipped(jack, var_exact):
-            alt, mixed, proj = real(jack, var_exact)
+        def flipped(jack, spectrum, var_exact):
+            import dataclasses
             import math
 
             wrong = abs(
@@ -359,9 +359,9 @@ class TestSelfcheck:
                     for k in range(1, jack.n + 1)
                 )
             )
-            return wrong, mixed, proj
+            return dataclasses.replace(real(jack, spectrum, var_exact), alternating_series=wrong)
 
-        monkeypatch.setattr(sc, "variance_identities", flipped)
+        monkeypatch.setattr(sc, "identity_residuals", flipped)
         monkeypatch.chdir(tmp_path)
         rc = cli.main(["selfcheck", "--instances", "5", "--seed", "3"])
         assert rc == 2
@@ -371,3 +371,84 @@ class TestSelfcheck:
         assert replays
         # the replay file is itself a valid config
         assert cli.main(["run", str(replays[0]), "--out", str(tmp_path / "replay")]) == 0
+
+
+def _typo(path: str, doc: dict) -> dict:
+    """A copy of `doc` with the field `stray` added to the object at `path`."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for part in path.split("."):
+        if part:
+            target = target[int(part)] if isinstance(target, list) else target[part]
+    target["stray"] = 1
+    return doc
+
+
+MC_DOC = _with(engine="mc", mc={"seed": 1, "outer_samples": 100},
+               bounds={"p_values": [1]}, output={"format": "json", "path": "report"})
+STATISTICS = {
+    "table": {"values": [1.0, 2.0, 3.0, 4.0]},
+    "sum": {"weights": [1.0, 2.0]},
+    "max": {},
+    "ustat2": {"g": [[-1.0, 1.0], [1.0, 2.0]]},
+    "poly": {"terms": [[1.0, [1, 1]]]},
+}
+
+
+class TestUnknownFields:
+    """A field outside the documented schema is refused, never ignored."""
+
+    @pytest.mark.parametrize("path, where", [
+        ("", "config root"),
+        ("mc", "mc"),
+        ("bounds", "bounds"),
+        ("output", "output"),
+        ("distributions.1", "distributions[1]"),
+        ("statistic", "statistic"),
+    ])
+    def test_refused(self, tmp_path, capsys, path, where):
+        assert cli.main(["run", write_config(tmp_path, _typo(path, MC_DOC))]) == 1
+        err = capsys.readouterr().err
+        assert f"{where}: unknown field 'stray'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", sorted(STATISTICS))
+    def test_refused_in_params(self, tmp_path, capsys, kind):
+        doc = _with(statistic={"kind": kind, "params": dict(STATISTICS[kind])})
+        assert cli.main(["run", write_config(tmp_path, doc, "good.json"),
+                         "--out", str(tmp_path / "good")]) == 0
+        assert cli.main(["run", write_config(tmp_path, _typo("statistic.params", doc))]) == 1
+        assert "statistic.params: unknown field 'stray'" in capsys.readouterr().err
+
+    def test_misspelt_sample_count(self, tmp_path, capsys):
+        doc = _with(engine="mc", mc={"outer_sample": 100})
+        assert cli.main(["run", write_config(tmp_path, doc)]) == 1
+        assert "mc: unknown field 'outer_sample'" in capsys.readouterr().err
+
+
+def _binary(n: int, mc: dict, p_values: list, tmp_path) -> dict:
+    return {
+        "distributions": [{"support": [-1.0, 1.0], "probs": [0.5, 0.5]}] * n,
+        "statistic": {"kind": "sum", "params": {"weights": [1.0] * n}},
+        "engine": "mc",
+        "mc": dict(mc, seed=3, outer_samples=100),
+        "bounds": {"p_values": p_values},
+        "output": {"path": str(tmp_path / "out")},
+    }
+
+
+class TestMcEngineLimits:
+    """A limit of the sampler or of the orders is an mc engine error, exit 1."""
+
+    def test_order_past_the_float_range_of_k_factorial(self, tmp_path, capsys):
+        doc = _binary(171, {"ks": [1]}, [85], tmp_path)
+        assert cli.main(["run", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert "mc engine: order k=171: k! exceeds the float range" in err
+        assert "Traceback" not in err
+
+    def test_subset_ranks_past_int64(self, tmp_path, capsys):
+        doc = _binary(70, {"ks": [35]}, [1], tmp_path)
+        assert cli.main(["run", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert "mc engine: C(70,35) = 112186277816662845432 subsets exceed" in err
+        assert "statistic:" not in err

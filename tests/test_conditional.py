@@ -71,20 +71,20 @@ class TestCondExpect:
 
 class TestPrefixExpect:
     def test_prefix_one_is_first_coordinate(self, sum_cache, rad2):
-        t = sum_cache.prefix_expect(1)
+        t = sum_cache.cond_expect(range(2, 3))
         x1 = jv.tabulate(jv.Statistic.linear([1.0, 0.0]), rad2)
         assert np.array_equal(t.values, x1.values)
 
     def test_prefix_n_is_identity(self, u2_cache):
-        assert u2_cache.prefix_expect(3) is u2_cache.base
+        assert u2_cache.cond_expect(range(4, 4)) is u2_cache.base
 
     def test_prefix_zero_is_constant_mean(self, sum_cache):
-        t = sum_cache.prefix_expect(0)
+        t = sum_cache.cond_expect(range(1, 3))
         assert np.allclose(t.array, 0.0)
 
     def test_out_of_range(self, sum_cache):
         with pytest.raises(jv.ModelError):
-            sum_cache.prefix_expect(3)
+            sum_cache.cond_expect(range(3, 4))
 
 
 class TestIteratedVariance:
@@ -168,8 +168,29 @@ class TestOracleEquivalence:
             for _ in range(2):
                 order = list(iset.indices)
                 rng.shuffle(order)
-                permuted = jv.iterated_variance_ordered(cache, order).array
+                permuted = jv.iterated_variance(cache, order).array
                 assert np.max(np.abs(canonical - permuted)) <= 5e-12 * cache.scale
+
+    def test_explicit_order_is_the_literal_recursion(self):
+        # a list runs in its own order, bit for bit the clamped recursion along
+        # it; an IndexSet or an int runs ascending
+        rng = np.random.Generator(np.random.Philox(key=38))
+        for _ in range(10):
+            space, stat = random_instance(rng)
+            cache = make_cache(space, stat)
+            order = [int(i) for i in rng.permutation(np.arange(1, space.n + 1))]
+            want = cache.clamp(var_sequence(space, cache.base.array, order), "")
+            assert np.array_equal(jv.iterated_variance(cache, order).array, want)
+            ascending = cache.clamp(var_sequence(space, cache.base.array, sorted(order)), "")
+            iset = jv.IndexSet(order)
+            assert np.array_equal(jv.iterated_variance(cache, iset).array, ascending)
+            single = cache.clamp(var_sequence(space, cache.base.array, [1]), "")
+            assert np.array_equal(jv.iterated_variance(cache, 1).array, single)
+
+    def test_repeated_coordinate_refused(self, u2_cache):
+        for order in ([1, 1], [2, 1, 2]):
+            with pytest.raises(jv.ModelError, match="repeats a coordinate"):
+                jv.iterated_variance(u2_cache, order)
 
     def test_matches_bruteforce_recursion(self):
         rng = np.random.Generator(np.random.Philox(key=41))

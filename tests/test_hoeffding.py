@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -113,7 +115,7 @@ class TestAgainstBruteforce:
             table = {idx: v for idx, v in zip(bs.indices, cache.base.values)}
             _, comps = bf.hoeffding_components(bs, table)
             for subset, want in comps.items():
-                got = decomp.component(subset).values
+                got = decomp.components[jv.IndexSet(subset)].values
                 for idx, g in zip(bs.indices, got):
                     assert g == pytest.approx(want[idx], abs=1e-10)
 
@@ -160,25 +162,33 @@ class TestSubsetMasses:
             w = cache.space.joint_weights()
             for iset, comp in decomp.components.items():
                 squared = float(np.sum(w * comp.array**2))
-                assert abs(decomp.mass(iset) - squared) <= 1e-9 * cache.scale
+                assert abs(decomp.masses[iset] - squared) <= 1e-9 * cache.scale
+
+
+def _spectrum_residual(jack, spectrum, var) -> float:
+    res = jv.identity_residuals(jack, spectrum, var)
+    return max(res.spectrum_total, res.spectrum_projected, res.spectrum_mix)
 
 
 class TestSpectrumIdentities:
     def test_zero_residual_on_fixtures(self, prod_cache, u2_cache):
         for cache in (prod_cache, u2_cache):
             jack = jv.jackknife_spectrum(cache)
-            res = jv.spectrum_identities(jv.degree_spectrum(cache), jack)
-            assert res.max_residual <= 1e-12
-            assert res.passes(cache.scale)
+            var = jv.variance(cache.base)
+            assert _spectrum_residual(jack, jv.degree_spectrum(cache), var) <= 1e-12
 
     def test_detects_corruption(self, u2_cache):
         jack = jv.jackknife_spectrum(u2_cache)
-        good = list(jv.degree_spectrum(u2_cache))
-        good[1] += 0.1
-        res = jv.spectrum_identities(good, jack)
-        assert res.max_residual > 0.01
+        spectrum = jv.degree_spectrum(u2_cache)
+        var = jv.variance(u2_cache.base)
+        bad = list(spectrum)
+        bad[1] += 0.1
+        assert _spectrum_residual(jack, bad, var) > 0.01
+        # a wrong projected moment breaks the total/projected identity on its own
+        wrong = dataclasses.replace(jack, ek=jack.ek[:2] + (jack.ek[2] + 0.6,))
+        assert jv.identity_residuals(wrong, spectrum, var).spectrum_mix > 0.01
 
     def test_length_mismatch(self, u2_cache):
         jack = jv.jackknife_spectrum(u2_cache)
         with pytest.raises(jv.ModelError):
-            jv.spectrum_identities((1.0,), jack)
+            jv.identity_residuals(jack, (1.0,), 0.0)

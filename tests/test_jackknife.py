@@ -14,10 +14,9 @@ from conftest import random_iid_space, symmetric_table_statistic
 
 class TestMomentFixtures:
     def test_rad2_prod(self, prod_cache):
-        assert jv.iterated_jackknife(prod_cache, 1) == pytest.approx(2.0, abs=1e-12)
-        assert jv.iterated_jackknife(prod_cache, 2) == pytest.approx(2.0, abs=1e-12)
-        assert jv.projected_jackknife(prod_cache, 1) == pytest.approx(0.0, abs=1e-12)
-        assert jv.projected_jackknife(prod_cache, 2) == pytest.approx(2.0, abs=1e-12)
+        jack = jv.jackknife_spectrum(prod_cache)
+        assert jack.ej == pytest.approx((2.0, 2.0), abs=1e-12)
+        assert jack.ek == pytest.approx((0.0, 2.0), abs=1e-12)
 
     def test_rad2_sum(self, sum_cache):
         jack = jv.jackknife_spectrum(sum_cache)
@@ -31,18 +30,24 @@ class TestMomentFixtures:
 
     def test_constant(self, rad2):
         cache = jv.CondExpCache(jv.tabulate(jv.Statistic.table([2.0] * 4), rad2))
-        for k in (1, 2):
-            assert jv.iterated_jackknife(cache, k) == 0.0
-            assert jv.projected_jackknife(cache, k) == 0.0
+        jack = jv.jackknife_spectrum(cache)
+        assert jack.ej == (0.0, 0.0)
+        assert jack.ek == (0.0, 0.0)
 
-    def test_k_out_of_range(self, prod_cache):
-        for k in (0, 3):
-            with pytest.raises(jv.ModelError):
-                jv.iterated_jackknife(prod_cache, k)
-            with pytest.raises(jv.ModelError):
-                jv.projected_jackknife(prod_cache, k)
-            with pytest.raises(jv.ModelError):
-                jv.prefix_jackknife(prod_cache, k)
+
+class TestFloatRange:
+    def test_orders_past_170_are_refused(self):
+        with pytest.raises(jv.ModelError, match=r"order k=171: k! exceeds the float range"):
+            jv.JackknifeSpectrum.from_spectrum([0.0] * 170 + [1.0], 1.0)
+
+    def test_overflowing_moment_is_refused_not_inf(self):
+        # every k! fits a float, but k! C(170, k) 1e10 does not for k near 160
+        with pytest.raises(jv.ModelError, match=r"order k=(\d+): ej_\1 = inf leaves the float range"):
+            jv.JackknifeSpectrum.from_spectrum([0.0] * 169 + [1e10], 1.0)
+
+    def test_largest_order_that_fits(self):
+        jack = jv.JackknifeSpectrum.from_spectrum([0.0] * 169 + [1.0], 1.0)
+        assert jack.ek[169] == float(math.factorial(170))
 
 
 class TestPrefixMoments:
@@ -51,24 +56,22 @@ class TestPrefixMoments:
         for _ in range(5):
             space, stat = random_instance(rng)
             cache = jv.CondExpCache(jv.tabulate(stat, space))
-            assert jv.prefix_jackknife(cache, 1) == pytest.approx(
+            assert jv.jackknife_spectrum(cache).er[0] == pytest.approx(
                 jv.variance(cache.base), abs=1e-12 * cache.scale
             )
 
     def test_rad2_prod_chain(self, prod_cache):
         # er_2 = ej_1/1! - er_1 and 2! er_2 = ej_2
-        er1 = jv.prefix_jackknife(prod_cache, 1)
-        er2 = jv.prefix_jackknife(prod_cache, 2)
+        jack = jv.jackknife_spectrum(prod_cache)
+        er1, er2 = jack.er
         assert er1 == pytest.approx(1.0, abs=1e-12)
         assert er2 == pytest.approx(2.0 - 1.0, abs=1e-12)
-        assert 2.0 * er2 == pytest.approx(jv.iterated_jackknife(prod_cache, 2), abs=1e-12)
+        assert 2.0 * er2 == pytest.approx(jack.ej[1], abs=1e-12)
 
     def test_rad3_terminal(self, u2_cache):
         # n! er_n = ej_n
-        er3 = jv.prefix_jackknife(u2_cache, 3)
-        assert math.factorial(3) * er3 == pytest.approx(
-            jv.iterated_jackknife(u2_cache, 3), abs=1e-12
-        )
+        jack = jv.jackknife_spectrum(u2_cache)
+        assert math.factorial(3) * jack.er[2] == pytest.approx(jack.ej[2], abs=1e-12)
 
     def test_moment_ordering(self):
         # ek_k <= k! er_k <= ej_k
@@ -195,12 +198,13 @@ class TestSymmetricCollapse:
             stat = symmetric_table_statistic(space, rng)
             cache = jv.CondExpCache(jv.tabulate(stat, space))
             w = space.joint_weights()
+            ej = jv.jackknife_spectrum(cache).ej
             for k in range(1, n + 1):
                 falling = math.perm(n, k)
                 lead = float(
                     np.sum(w * jv.iterated_variance(cache, range(1, k + 1)).array)
                 )
-                got = jv.iterated_jackknife(cache, k)
+                got = ej[k - 1]
                 want = falling * lead
                 assert abs(got - want) <= 1e-9 * max(1.0, abs(got), abs(want))
 
@@ -210,8 +214,9 @@ class TestMonotoneVanishing:
         # S = x1 * x2 ignores coordinate 3, so every order above 2 vanishes
         stat = jv.Statistic.polynomial([(1.0, (1, 1, 0))])
         cache = jv.CondExpCache(jv.tabulate(stat, rad3))
-        assert jv.iterated_jackknife(cache, 3) == pytest.approx(0.0, abs=1e-12)
-        assert jv.iterated_jackknife(cache, 2) == pytest.approx(2.0, abs=1e-12)
+        ej = jv.jackknife_spectrum(cache).ej
+        assert ej[2] == pytest.approx(0.0, abs=1e-12)
+        assert ej[1] == pytest.approx(2.0, abs=1e-12)
 
 
 class TestClassicalJackknife:

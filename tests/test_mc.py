@@ -21,9 +21,7 @@ def exact_moments(space, stat):
 class TestSampling:
     def test_point_mass_always_same(self):
         sp = jv.build_space([jv.DiscreteDistribution.point_mass(3.0)] * 2)
-        rng = mc.stream_rng(1, mc.TAG_OUTCOME, 0)
-        for _ in range(10):
-            assert jv.sample_outcome(sp, rng) == (3.0, 3.0)
+        assert np.array_equal(jv.sample_outcomes(sp, 10, seed=1), np.full((10, 2), 3.0))
 
     def test_seed_determinism(self, rad2):
         a = jv.sample_outcomes(rad2, 64, seed=5)
@@ -174,6 +172,15 @@ class TestTotalMoment:
             jv.estimate_iterated_jackknife(
                 rad2, prod_stat, 3, jv.McConfig(seed=0, outer_samples=10)
             )
+
+    def test_orders_past_170_are_refused(self):
+        # enough coordinates for k = 171, but k! leaves the float range
+        space = jv.build_space([jv.DiscreteDistribution.rademacher()] * 172)
+        stat = jv.Statistic.linear([1.0] * 172)
+        cfg = jv.McConfig(seed=0, outer_samples=10)
+        for estimate in (jv.estimate_iterated_jackknife, jv.estimate_projected_jackknife):
+            with pytest.raises(jv.ModelError, match=r"order k=171: k! exceeds the float range"):
+                estimate(space, stat, 171, cfg)
 
 
 class TestProjectedMoment:

@@ -1,9 +1,12 @@
-"""The README quick start runs and prints the values its comments state."""
+"""The README quick start runs and prints the values its comments state,
+and every public name it draws on resolves."""
 
 import contextlib
 import io
 import pathlib
 import re
+
+import jackvar
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,3 +30,8 @@ def test_quick_start_prints_what_it_says():
     assert (b.p, b.lower_jk, b.upper_jk) == (1, 3.0, 3.0)
     est = ns["est"]  # the order-2 total moment, exactly 6
     assert abs(est.mean - 6.0) <= 4 * est.std_error
+
+
+def test_every_public_name_resolves():
+    assert len(set(jackvar.__all__)) == len(jackvar.__all__)
+    assert [name for name in jackvar.__all__ if not hasattr(jackvar, name)] == []

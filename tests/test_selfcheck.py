@@ -70,14 +70,23 @@ def test_instance_config_replays():
 def test_oracle_catches_a_wrong_mass_path(monkeypatch):
     # the series identities run on the definitional sums, so a wrong
     # mass-derived moment shows only in the oracle comparison
-    right = selfcheck.jackknife_spectrum
+    right = selfcheck.JackknifeSpectrum.from_spectrum
 
-    def wrong(cache):
-        jack = right(cache)
+    def wrong(spectrum, scale):
+        jack = right(spectrum, scale)
         return dataclasses.replace(jack, ek=(jack.ek[0] + 1e-6,) + jack.ek[1:])
 
-    monkeypatch.setattr(selfcheck, "jackknife_spectrum", wrong)
+    monkeypatch.setattr(selfcheck.JackknifeSpectrum, "from_spectrum", staticmethod(wrong))
     space, stat = random_instance(np.random.Generator(np.random.Philox(key=3)))
     checks = check_instance(space, stat, np.random.Generator(np.random.Philox(key=4)))
     assert checks.residuals["oracle_vs_masses"] > IDENTITY_TOL
     assert checks.residuals["projected_series"] <= IDENTITY_TOL
+
+
+def test_report_and_battery_share_the_identity_names():
+    space, stat = random_instance(np.random.Generator(np.random.Philox(key=5)))
+    report = jv.exact_report(jv.CondExpCache(jv.tabulate(stat, space)))
+    names = list(report.to_dict()["identity_residuals"])
+    assert names == [f.name for f in dataclasses.fields(jv.IdentityResiduals)]
+    checks = check_instance(space, stat, np.random.Generator(np.random.Philox(key=6)))
+    assert set(names) <= set(checks.residuals)
