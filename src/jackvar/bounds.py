@@ -240,18 +240,27 @@ def _as_lists(value):
     return value
 
 
-def _load(tp, value):
-    """Rebuild a value of annotated type `tp` from its `to_dict` form."""
+def _load(tp, value, path: str = ""):
+    """Rebuild a value of annotated type `tp` from its `to_dict` form.
+
+    A missing or unknown field raises ModelError naming its dotted path.
+    """
     if value is None:
         return None
     if is_dataclass(tp):
         hints = typing.get_type_hints(tp)
-        return tp(**{f.name: _load(hints[f.name], value[f.name]) for f in fields(tp)})
+        prefix = path + "." if path else ""
+        names = [f.name for f in fields(tp)]
+        for key in (*names, *value):
+            if (key in names) != (key in value):
+                state = "missing" if key in names else "unknown"
+                raise ModelError(f"report field {prefix + key!r} is {state}")
+        return tp(**{name: _load(hints[name], value[name], prefix + name) for name in names})
     args = typing.get_args(tp)
     if typing.get_origin(tp) is tuple:
-        return tuple(_load(args[0], v) for v in value)
+        return tuple(_load(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
     if args:  # Optional[X]
-        return _load(args[0], value)
+        return _load(args[0], value, path)
     return tp(value)
 
 

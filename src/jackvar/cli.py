@@ -74,6 +74,7 @@ class InstanceConfig:
     statistic: Statistic
     engine: str
     mc: McConfig | None
+    ks: list | None  # MC orders to report; None = every order 1..n
     p_values: list | None  # None = all valid p
     out_format: str
     out_path: str
@@ -189,6 +190,7 @@ def parse_config(raw: dict) -> InstanceConfig:
         raise ConfigError(f"engine: expected one of {ENGINES}, got {engine!r}")
 
     mc_cfg = None
+    ks = None
     if engine in ("mc", "both"):
         mc_raw = raw.get("mc")
         if not isinstance(mc_raw, dict):
@@ -204,15 +206,13 @@ def parse_config(raw: dict) -> InstanceConfig:
                 seed=_integer(mc_raw.get("seed", 0), "mc.seed"),
                 outer_samples=_integer(mc_raw.get("outer_samples", 10000), "mc.outer_samples"),
                 inner_pairs=_integer(mc_raw.get("inner_pairs", 1), "mc.inner_pairs"),
-                ks=ks,
                 subset_mode=mc_raw.get("subset_mode", "auto"),
             )
         except ModelError as e:
             raise ConfigError(f"mc: {e}") from e
-        if mc_cfg.ks is not None:
-            for k in mc_cfg.ks:
-                if not 1 <= k <= space.n:
-                    raise ConfigError(f"mc.ks: order {k} out of range 1..{space.n}")
+        for k in ks or ():
+            if not 1 <= k <= space.n:
+                raise ConfigError(f"mc.ks: order {k} out of range 1..{space.n}")
     elif "mc" in raw:
         raise ConfigError("mc: section present but engine does not include mc")
 
@@ -247,6 +247,7 @@ def parse_config(raw: dict) -> InstanceConfig:
         statistic=statistic,
         engine=engine,
         mc=mc_cfg,
+        ks=ks,
         p_values=p_values,
         out_format=out_format,
         out_path=str(out_path),
@@ -256,7 +257,7 @@ def parse_config(raw: dict) -> InstanceConfig:
 def _mc_section(cfg: InstanceConfig) -> dict:
     space, stat, mc_cfg = cfg.space, cfg.statistic, cfg.mc
     n = space.n
-    ks = list(mc_cfg.ks) if mc_cfg.ks else list(range(1, n + 1))
+    ks = cfg.ks or range(1, n + 1)
 
     def as_dict(est):
         d = {"mean": est.mean, "std_error": est.std_error, "samples": est.samples}

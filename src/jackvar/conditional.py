@@ -25,6 +25,13 @@ eps = 1e-10 * scale, scale = max(1, E f^2).  Anything below -eps raises
 ConsistencyError: convexity guarantees non-negativity, so a large negative
 is a bug, not noise.
 
+Shapes: averaging along a coordinate leaves a table that no longer depends
+on it, so `axis_mean`, `cond_mean_mask` and `var_sequence` return arrays of
+length 1 on every averaged axis and let numpy broadcasting stand in for the
+constant copies.  The full joint shape is built only where a `FieldTable`
+is handed out (the cache's tables and `iterated_variance`), by one
+`np.broadcast_to` at each such site.
+
 Concurrency: the cache memoizes one table per coordinate subset (bitmask
 key, lazily populated, at most 2^n tables, each of grid size; only the
 tables asked for are built).  Entries are immutable once stored and two
@@ -49,10 +56,12 @@ CLAMP_REL = 1e-10
 
 
 def axis_mean(space: ProductSpace, arr: np.ndarray, coord: int) -> np.ndarray:
-    """Average along one 1-based coordinate, broadcast back to full shape."""
-    p = space.probs_grid(coord)
-    reduced = (arr * p).sum(axis=coord - 1, keepdims=True)
-    return np.broadcast_to(reduced, space.shape)
+    """Average along one 1-based coordinate; that axis keeps length 1.
+
+    `arr` may itself be reduced (length 1 on axes averaged before); the
+    result broadcasts against any array of the space's shape.
+    """
+    return (arr * space.probs_grid(coord)).sum(axis=coord - 1, keepdims=True)
 
 
 def cond_mean_mask(space: ProductSpace, arr: np.ndarray, mask: int) -> np.ndarray:
@@ -60,7 +69,7 @@ def cond_mean_mask(space: ProductSpace, arr: np.ndarray, mask: int) -> np.ndarra
 
     The ascending order is the canonical reduction the whole library uses;
     it makes repeated single-coordinate averaging bit-identical to the
-    one-shot set operation.
+    one-shot set operation.  Every averaged axis has length 1 in the result.
     """
     coord = 1
     while mask:
@@ -75,7 +84,8 @@ def var_sequence(space: ProductSpace, arr: np.ndarray, order) -> np.ndarray:
     """Iterated conditional variance along an explicit index sequence.
 
     Follows the defining recursion literally, peeling indices from the
-    front of `order`; unclamped.
+    front of `order`; unclamped.  The result is constant along every index
+    in `order` and has length 1 on those axes.
     """
     order = list(order)
     if not order:
@@ -118,7 +128,7 @@ class CondExpCache:
         high = mask.bit_length()  # 1-based coordinate of the highest set bit
         parent = self._expect_mask(mask & ~(1 << (high - 1)))
         arr = axis_mean(self.space, parent.array, high)
-        table = FieldTable(self.space, arr)
+        table = FieldTable(self.space, np.broadcast_to(arr, self.space.shape))
         self._tables[mask] = table
         return table
 
@@ -156,7 +166,7 @@ def iterated_variance(cache: CondExpCache, indices) -> FieldTable:
     as_index_set(order).check_range(cache.space.n)
     raw = var_sequence(cache.space, cache.base.array, order)
     arr = cache.clamp(raw, f"iterated_variance({tuple(order)})")
-    return FieldTable(cache.space, arr)
+    return FieldTable(cache.space, np.broadcast_to(arr, cache.space.shape))
 
 
 def iterated_variance_ie(cache: CondExpCache, indices) -> FieldTable:

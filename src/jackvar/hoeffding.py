@@ -61,9 +61,7 @@ def subset_masses(space: ProductSpace, arr) -> np.ndarray:
         basis = root[:, None] * q[:, 1:]
         mean = axis_mean(space, coeffs, c)
         resid = np.moveaxis(coeffs - mean, axis, -1) @ basis
-        coeffs = np.concatenate(
-            [mean.take([0], axis=axis), np.moveaxis(resid, -1, axis)], axis=axis
-        )
+        coeffs = np.concatenate([mean, np.moveaxis(resid, -1, axis)], axis=axis)
     sq = coeffs * coeffs
     for axis in range(space.n):
         head, tail = np.split(sq, [1], axis=axis)
@@ -126,9 +124,7 @@ class HoeffdingDecomposition:
         """
         iset = as_index_set(indices)
         target = set(iset.indices)
-        space = next(iter(self.components.values())).space if self.components else None
-        if space is None:
-            raise ModelError("decomposition has no components (n = 0?)")
+        space = next(iter(self.components.values())).space
         acc = np.full(space.shape, self.mean)
         for s, tab in self.components.items():
             if set(s.indices) <= target:

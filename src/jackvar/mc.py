@@ -75,6 +75,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,15 +107,22 @@ _TILE_ROWS = 1024  # rows of Philox words in flight; bounds the generator's scra
 
 @dataclass(frozen=True)
 class McConfig:
-    """Estimation settings; seed is a 64-bit integer."""
+    """Estimation settings; seed is a 64-bit integer.
+
+    `seed`, `outer_samples` and `inner_pairs` must be Python or numpy
+    integers; booleans and floats are refused, never truncated.
+    """
 
     seed: int
     outer_samples: int
     inner_pairs: int = 1
-    ks: tuple[int, ...] | None = None
     subset_mode: str = "auto"
 
     def __post_init__(self):
+        for name in ("seed", "outer_samples", "inner_pairs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ModelError(f"{name} must be an integer, got {value!r}")
         _word64("seed", self.seed)
         if self.outer_samples < 2:
             raise ModelError("outer_samples must be >= 2")
@@ -122,8 +130,6 @@ class McConfig:
             raise ModelError("inner_pairs must be >= 1")
         if self.subset_mode not in ("auto", "enumerate", "sample"):
             raise ModelError(f"unknown subset_mode {self.subset_mode!r}")
-        if self.ks is not None:
-            object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,22 @@ class TestReport:
             doc = json.loads(json.dumps(rep.to_dict()))
             assert jv.BoundsReport.from_dict(doc) == rep
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("var_exact"), "'var_exact' is missing"),
+        (lambda d: d.update(extra=1.0), "'extra' is unknown"),
+        (lambda d: d["identity_residuals"].pop("spectrum_total"),
+         "'identity_residuals.spectrum_total' is missing"),
+        # the key a report written before the spectrum_cross split carries
+        (lambda d: d["identity_residuals"].update(spectrum_cross=0.0),
+         "'identity_residuals.spectrum_cross' is unknown"),
+        (lambda d: d["brackets"][0].pop("upper_j"), r"'brackets\[0\].upper_j' is missing"),
+    ])
+    def test_load_names_a_missing_or_unknown_field(self, u2_cache, edit, message):
+        doc = json.loads(json.dumps(jv.exact_report(u2_cache).to_dict()))
+        edit(doc)
+        with pytest.raises(jv.ModelError, match=message):
+            jv.BoundsReport.from_dict(doc)
+
     def test_spectrum_snap_keeps_raw(self, prod_cache):
         rep = jv.exact_report(prod_cache)
         # degree 1 mass is a pure rounding residue: snapped to exactly 0

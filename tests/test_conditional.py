@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import jackvar as jv
-from jackvar.conditional import var_sequence
+from jackvar.conditional import axis_mean, cond_mean_mask, var_sequence
 from jackvar.model import GridSizeError
 from jackvar.selfcheck import random_instance
 
@@ -179,13 +179,32 @@ class TestOracleEquivalence:
             space, stat = random_instance(rng)
             cache = make_cache(space, stat)
             order = [int(i) for i in rng.permutation(np.arange(1, space.n + 1))]
-            want = cache.clamp(var_sequence(space, cache.base.array, order), "")
+
+            def recursion(seq):
+                raw = cache.clamp(var_sequence(space, cache.base.array, seq), "")
+                return np.broadcast_to(raw, space.shape)
+
+            want = recursion(order)
             assert np.array_equal(jv.iterated_variance(cache, order).array, want)
-            ascending = cache.clamp(var_sequence(space, cache.base.array, sorted(order)), "")
+            ascending = recursion(sorted(order))
             iset = jv.IndexSet(order)
             assert np.array_equal(jv.iterated_variance(cache, iset).array, ascending)
-            single = cache.clamp(var_sequence(space, cache.base.array, [1]), "")
+            single = recursion([1])
             assert np.array_equal(jv.iterated_variance(cache, 1).array, single)
+
+    def test_averaged_axes_keep_length_one(self):
+        # a conditional mean or iterated variance along coordinate i no longer
+        # depends on it: axis i-1 has length 1, every other axis its full size
+        space = jv.build_space([jv.DiscreteDistribution([0.0, 1.0, 2.0], [0.2, 0.3, 0.5]),
+                                jv.DiscreteDistribution([-1.0, 1.0], [0.5, 0.5]),
+                                jv.DiscreteDistribution([0.0, 1.0, 3.0, 4.0], [0.25] * 4)])
+        arr = jv.tabulate(jv.Statistic.coordinate_max(), space).array
+        for i in range(1, space.n + 1):
+            want = space.shape[: i - 1] + (1,) + space.shape[i:]
+            assert axis_mean(space, arr, i).shape == want
+            assert var_sequence(space, arr, [i]).shape == want
+        assert cond_mean_mask(space, arr, 0b101).shape == (1, 2, 1)
+        assert var_sequence(space, arr, [3, 1]).shape == (1, 2, 1)
 
     def test_repeated_coordinate_refused(self, u2_cache):
         for order in ([1, 1], [2, 1, 2]):

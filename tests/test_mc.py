@@ -131,9 +131,21 @@ class TestConfig:
         with pytest.raises(jv.ModelError):
             jv.McConfig(seed=-1, outer_samples=10)
 
-    def test_ks_normalized(self):
-        cfg = jv.McConfig(seed=0, outer_samples=10, ks=[2, 1])
-        assert cfg.ks == (2, 1)
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 2.7), ("seed", 2.0), ("seed", True),
+        ("outer_samples", 100.9), ("outer_samples", np.float64(100.0)),
+        ("inner_pairs", 1.5), ("inner_pairs", True), ("inner_pairs", np.bool_(True)),
+    ])
+    def test_refuses_non_integers(self, field, value):
+        settings = dict(seed=2, outer_samples=50, inner_pairs=1)
+        settings[field] = value
+        with pytest.raises(jv.ModelError, match=f"{field} must be an integer"):
+            jv.McConfig(**settings)
+
+    def test_numpy_integers_accepted(self, rad2, prod_stat):
+        cfg = jv.McConfig(seed=np.uint64(2), outer_samples=np.int64(50), inner_pairs=np.int32(2))
+        est = jv.estimate_variance(rad2, prod_stat, cfg)
+        assert est == jv.estimate_variance(rad2, prod_stat, jv.McConfig(2, 50, 2))
 
 
 class TestTotalMoment:
