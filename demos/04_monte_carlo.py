@@ -35,9 +35,12 @@ again = jv.estimate_iterated_jackknife(space5, stat5, 2, cfg)
 print("bit-identical rerun:", again == jv.estimate_iterated_jackknife(space5, stat5, 2, cfg))
 
 # Now 40 coordinates: ~1.2e19 outcomes, exact enumeration is hopeless but
-# the estimators only ever evaluate S at sampled points.
+# the estimators only ever evaluate S at sampled points.  Each order's
+# coordinate subsets are enumerated per row while there are at most 64 of
+# them (the 40 singletons of order 1) and sampled one per row past that
+# (780 pairs, 9880 triples), so the bracket below uses both plans.
 space40, stat40 = make(40)
-cfg40 = jv.McConfig(seed=11, outer_samples=20_000, subset_mode="sample")
+cfg40 = jv.McConfig(seed=11, outer_samples=20_000)
 v = jv.estimate_variance(space40, stat40, cfg40)
 print(f"\nn=40: Var estimate {v.mean:.3f} +- {v.std_error:.3f} "
       f"(linear statistic: exact is {40 * 0.5})")

@@ -40,7 +40,7 @@ from typing import Optional
 from .conditional import CondExpCache
 from .hoeffding import degree_spectrum
 from .jackknife import JackknifeSpectrum, factorial
-from .model import ConsistencyError, ModelError, expectation, variance
+from .model import ConsistencyError, ModelError, as_integer, expectation, variance
 
 SPECTRUM_ZERO_REL = 1e-12
 INEQ_TOL_REL = 1e-10
@@ -126,6 +126,7 @@ def bracket_terms(n: int, p: int) -> dict[str, tuple]:
     evaluates the terms on exact moments, `mc.assemble_bracket` on
     estimates.  An order whose k! leaves the float range raises.
     """
+    p = as_integer("p", p)
     if not 1 <= p <= n // 2:
         raise ModelError(f"p={p} out of range 1..{n // 2}")
     upper_j = _alternating_terms(2 * p - 1)

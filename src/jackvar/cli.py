@@ -15,8 +15,7 @@ Config schema (all fields except `distributions` and `statistic` optional):
   "distributions": [{"support": [..], "probs": [..]}, ...],
   "statistic": {"kind": "table|sum|max|ustat2|poly", "params": {...}},
   "engine": "exact" | "mc" | "both",            # default "exact"
-  "mc": {"seed": 0, "outer_samples": 10000,
-         "inner_pairs": 1, "ks": [1, 2], "subset_mode": "auto"},
+  "mc": {"seed": 0, "outer_samples": 10000, "ks": [1, 2]},
   "bounds": {"p_values": [1, 2] | "all"},
   "output": {"format": "json" | "csv" | "both", "path": "report"}
 }
@@ -58,7 +57,7 @@ CSV_COLUMNS = ("p", "lower_J", "lower_JK", "var", "upper_JK", "upper_J")
 
 # the documented schema: every field each config object may hold
 ROOT_FIELDS = ("distributions", "statistic", "engine", "mc", "bounds", "output")
-MC_FIELDS = ("seed", "outer_samples", "inner_pairs", "ks", "subset_mode")
+MC_FIELDS = ("seed", "outer_samples", "ks")
 STATISTIC_PARAMS = {
     "table": ("values",), "sum": ("weights",), "max": (), "ustat2": ("g",), "poly": ("terms",),
 }
@@ -205,8 +204,6 @@ def parse_config(raw: dict) -> InstanceConfig:
             mc_cfg = McConfig(
                 seed=_integer(mc_raw.get("seed", 0), "mc.seed"),
                 outer_samples=_integer(mc_raw.get("outer_samples", 10000), "mc.outer_samples"),
-                inner_pairs=_integer(mc_raw.get("inner_pairs", 1), "mc.inner_pairs"),
-                subset_mode=mc_raw.get("subset_mode", "auto"),
             )
         except ModelError as e:
             raise ConfigError(f"mc: {e}") from e
@@ -397,6 +394,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    if args.instances < 1:  # a battery of no instances would pass vacuously
+        print(f"error: --instances: expected at least 1, got {args.instances}", file=sys.stderr)
+        return 1
+    if not 0 <= args.seed < 1 << 64:
+        print(f"error: --seed: expected 0..2^64-1, got {args.seed}", file=sys.stderr)
+        return 1
     result = run_battery(args.instances, args.seed)
     print(f"selfcheck: {result.instances} instances, seed {result.seed}, "
           f"{result.elapsed_s:.1f}s")

@@ -50,6 +50,7 @@ from .model import (
     ModelError,
     ProductSpace,
     as_index_set,
+    as_integer,
 )
 
 CLAMP_REL = 1e-10
@@ -160,7 +161,7 @@ def iterated_variance(cache: CondExpCache, indices) -> FieldTable:
     if isinstance(indices, (int, IndexSet)):
         order = list(as_index_set(indices))
     else:
-        order = [int(i) for i in indices]
+        order = [as_integer("coordinate index", i) for i in indices]
     if len(set(order)) != len(order):
         raise ModelError(f"index sequence {order} repeats a coordinate")
     as_index_set(order).check_range(cache.space.n)

@@ -51,20 +51,25 @@ change a result.  Sampled k-subsets are unranked for all rows at once by
 
 Estimator constructions
 -----------------------
+Both order-k moments sum a term over the C(n,k) coordinate subsets.  A row
+enumerates them while C(n,k) <= ENUMERATE_SUBSET_LIMIT = 64 and otherwise
+samples one, weighted by C(n,k); nothing else picks the plan.  Enumerating
+removes the subset-choice variance at C(n,k) terms per row, which 64 caps:
+n = 10 enumerates orders 1 and 2 (10 and 45 subsets) and samples order 3.
+
 Order-k total moment: draw the coordinates and one independent copy per
-coordinate, pick a sorted k-subset, form the alternating replace-on-subset
-difference D, and contribute weight * D^2 / 2^k.  With enumerated subsets
-the weight is k!; with a uniformly sampled subset it is k! * C(n,k).
+coordinate; the term is k! * D^2 / 2^k, D the alternating replace-on-subset
+difference.
 
 Order-k projected moment: the degenerate component h of a subset I is
-estimated by the same alternating sum run the other way around (keep the
-drawn coordinates on J, fill the rest from a fresh completion); two such
-sums with independent completions are conditionally independent given the
-kept coordinates, so their product is unbiased for h^2.  Products are
-averaged over `inner_pairs` completion pairs.  A nested mean-then-square
-would be biased; the pair-product form is exact in expectation, which is
-the point of this library.  Point estimates can come out negative on finite
-samples; they are reported unclamped and flagged.
+(-1)^k times the same alternating sum run the other way around (keep the
+drawn coordinates on J, fill the rest from a fresh completion).  The sums
+D and D' over a row's two independent completions are conditionally
+independent given the kept coordinates, so the term k! * D * D' is unbiased
+for k! * h^2 (the signs cancel).  A nested mean-then-square would be
+biased; the pair-product form is exact in expectation, which is the point
+of this library.  Point estimates can come out negative on finite samples;
+they are reported unclamped and flagged.
 
 Brackets combine per-order estimates with the coefficients of
 `bounds.bracket_terms`, the same ones the exact engine uses.
@@ -75,14 +80,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import bracket_terms
 from .jackknife import factorial
-from .model import ModelError, NonFiniteError, ProductSpace, Statistic, as_index_set
+from .model import ModelError, NonFiniteError, ProductSpace, Statistic, as_index_set, as_integer
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
@@ -107,29 +111,18 @@ _TILE_ROWS = 1024  # rows of Philox words in flight; bounds the generator's scra
 
 @dataclass(frozen=True)
 class McConfig:
-    """Estimation settings; seed is a 64-bit integer.
+    """A 64-bit seed and a sample count: Python or numpy integers, never truncated.
 
-    `seed`, `outer_samples` and `inner_pairs` must be Python or numpy
-    integers; booleans and floats are refused, never truncated.
+    The estimators fix everything else (subset plan, one completion pair).
     """
 
     seed: int
     outer_samples: int
-    inner_pairs: int = 1
-    subset_mode: str = "auto"
 
     def __post_init__(self):
-        for name in ("seed", "outer_samples", "inner_pairs"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ModelError(f"{name} must be an integer, got {value!r}")
         _word64("seed", self.seed)
-        if self.outer_samples < 2:
+        if as_integer("outer_samples", self.outer_samples) < 2:
             raise ModelError("outer_samples must be >= 2")
-        if self.inner_pairs < 1:
-            raise ModelError("inner_pairs must be >= 1")
-        if self.subset_mode not in ("auto", "enumerate", "sample"):
-            raise ModelError(f"unknown subset_mode {self.subset_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -153,7 +146,7 @@ class BracketEstimate:
 
 def _word64(what: str, value: int) -> int:
     """A seed or stream tag as one 64-bit key word; out of range raises, never wraps."""
-    value = int(value)
+    value = as_integer(what, value)
     if not 0 <= value <= _MASK64:
         raise ModelError(f"{what} {value} is outside the 64-bit key word 0..2^64-1")
     return value
@@ -162,7 +155,7 @@ def _word64(what: str, value: int) -> int:
 def stream_rng(seed: int, tag: int, index: int) -> np.random.Generator:
     """Generator for one (purpose, sample index) pair; see module docstring."""
     key = _word64("seed", seed) | (_word64("stream tag", tag) << 64)
-    return np.random.Generator(np.random.Philox(key=key, counter=int(index) << 128))
+    return np.random.Generator(np.random.Philox(key=key, counter=as_integer("sample index", index) << 128))
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,6 +177,7 @@ def _philox_round(ctr, key):
 def _uniform_block(seed: int, tag: int, start: int, count: int, width: int) -> np.ndarray:
     """(count, width) uniforms; row r is stream_rng(seed, tag, start + r).random(width)."""
     k0, k1 = _word64("seed", seed), _word64("stream tag", tag)
+    start, count = as_integer("start", start), as_integer("count", count)
     if not 0 <= start <= start + count <= 1 << 64:
         raise ModelError(
             f"sample rows {start}..{start + count - 1} are outside the 64-bit counter word 0..2^64-1"
@@ -291,33 +285,34 @@ def _unrank_combinations(ranks: np.ndarray, n: int, k: int) -> np.ndarray:
     return out
 
 
-def _over_subsets(cfg: McConfig, n: int, k: int, rank_u: np.ndarray, term, weight: float) -> np.ndarray:
+def _over_subsets(n: int, k: int, rank_u: np.ndarray, term, weight: float) -> np.ndarray:
     """Unbiased per-row estimate of weight * sum of term(positions) over all k-subsets.
 
-    Either every sorted k-subset is enumerated, or each row takes the one
-    subset of lexicographic rank floor(rank_u * C(n,k)) with weight scaled
+    Up to ENUMERATE_SUBSET_LIMIT subsets all are enumerated; past it a row
+    takes the subset of lexicographic rank floor(rank_u * C(n,k)), weighted
     by C(n,k).  positions is a (rows, k) array of 0-based columns.
     """
     count = rank_u.shape[0]
-    if cfg.subset_mode == "enumerate" or (
-        cfg.subset_mode == "auto" and math.comb(n, k) <= ENUMERATE_SUBSET_LIMIT
-    ):
+    n_subsets = math.comb(n, k)
+    if n_subsets <= ENUMERATE_SUBSET_LIMIT:
         total = np.zeros(count)
         for subset in itertools.combinations(range(n), k):
             total += term(np.broadcast_to(np.asarray(subset), (count, k)))
         return weight * total
-    n_subsets = math.comb(n, k)
-    if n_subsets > _INT64_MAX:
-        raise ModelError(f"C({n},{k}) = {n_subsets} subsets exceed the 64-bit rank range 0..2^63-1")
     ranks = np.minimum((rank_u * n_subsets).astype(np.int64), n_subsets - 1)
     return (weight * n_subsets) * term(_unrank_combinations(ranks, n, k))
 
 
-def _check_k(space: ProductSpace, k: int) -> float:
-    """k! for an order in 1..n; an order out of range or past the float range of k! raises."""
+def _check_k(space: ProductSpace, k: int) -> tuple[int, float]:
+    """(k, k!) for an order in 1..n; raises past the float range of k! or the int64 subset ranks."""
+    k = as_integer("order k", k)
     if not 1 <= k <= space.n:
         raise ModelError(f"order k={k} out of range 1..{space.n}")
-    return factorial(k)
+    kf = factorial(k)
+    n_subsets = math.comb(space.n, k)
+    if n_subsets > _INT64_MAX:
+        raise ModelError(f"C({space.n},{k}) = {n_subsets} subsets exceed the 64-bit rank range 0..2^63-1")
+    return k, kf
 
 
 def _estimate_from(contribs: np.ndarray, flag_negative: bool = False) -> McEstimate:
@@ -337,7 +332,7 @@ def estimate_iterated_jackknife(
     space: ProductSpace, statistic: Statistic, k: int, cfg: McConfig
 ) -> McEstimate:
     """Unbiased estimate of the order-k total jackknife moment."""
-    kf = _check_k(space, k)
+    k, kf = _check_k(space, k)
     n = space.n
 
     def contribute(cdfs, u):
@@ -348,8 +343,7 @@ def estimate_iterated_jackknife(
             d = _alternating_eval(space, statistic, x, y, pos)
             return d * d
 
-        weight = kf / 2.0**k
-        return _over_subsets(cfg, n, k, u[:, 2 * n], squared_difference, weight)
+        return _over_subsets(n, k, u[:, 2 * n], squared_difference, kf / 2.0**k)
 
     return _estimate_from(
         _contributions(space, statistic, cfg, TAG_TOTAL_BASE + k, 2 * n + 1, contribute)
@@ -364,29 +358,21 @@ def estimate_projected_jackknife(
     May be negative on finite samples even though the target is >= 0; such
     estimates are returned unclamped with flagged_negative set.
     """
-    kf = _check_k(space, k)
+    k, kf = _check_k(space, k)
     n = space.n
-    m = cfg.inner_pairs
-    sign = (-1.0) ** k  # h = (-1)^k * alternating sum with completion as base
 
     def contribute(cdfs, u):
-        count = u.shape[0]
         x = _indices_from_uniform(cdfs, u[:, :n])
-        completions = _indices_from_uniform(cdfs, u[:, n : n + 2 * m * n].reshape(count, 2 * m, n))
+        first = _indices_from_uniform(cdfs, u[:, n : 2 * n])
+        second = _indices_from_uniform(cdfs, u[:, 2 * n : 3 * n])
 
-        def pair_products(pos):
-            acc = np.zeros(count)
-            for pair in range(m):
-                h1 = sign * _alternating_eval(space, statistic, completions[:, 2 * pair], x, pos)
-                h2 = sign * _alternating_eval(space, statistic, completions[:, 2 * pair + 1], x, pos)
-                acc += h1 * h2
-            return acc / m
+        def pair_product(pos):
+            d = _alternating_eval(space, statistic, first, x, pos)
+            return d * _alternating_eval(space, statistic, second, x, pos)
 
-        return _over_subsets(cfg, n, k, u[:, -1], pair_products, kf)
+        return _over_subsets(n, k, u[:, 3 * n], pair_product, kf)
 
-    contribs = _contributions(
-        space, statistic, cfg, TAG_PROJECTED_BASE + k, n + 2 * m * n + 1, contribute
-    )
+    contribs = _contributions(space, statistic, cfg, TAG_PROJECTED_BASE + k, 3 * n + 1, contribute)
     return _estimate_from(contribs, flag_negative=True)
 
 

@@ -23,6 +23,7 @@ read-only, so any operation may run concurrently on shared inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -54,6 +55,13 @@ class ConsistencyError(RuntimeError):
     exact) by convexity/algebra comes out wrong by more than the documented
     tolerance.  This always indicates a bug, never sampling noise.
     """
+
+
+def as_integer(what: str, value) -> int:
+    """`value` as an int: Python and numpy integers pass, booleans and the rest raise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ModelError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -127,7 +135,7 @@ class IndexSet:
     indices: tuple[int, ...]
 
     def __init__(self, indices: Iterable[int]):
-        idx = tuple(sorted(set(int(i) for i in indices)))
+        idx = tuple(sorted(set(as_integer("coordinate index", i) for i in indices)))
         if any(i < 1 for i in idx):
             raise ModelError(f"coordinate indices must be >= 1, got {idx}")
         object.__setattr__(self, "indices", idx)
@@ -358,7 +366,7 @@ class Statistic:
     def polynomial(cls, terms: Sequence) -> "Statistic":
         canon = []
         for coef, exps in terms:
-            canon.append((float(coef), tuple(int(e) for e in exps)))
+            canon.append((float(coef), tuple(as_integer("poly exponent", e) for e in exps)))
         return cls("poly", tuple(canon))
 
     def validate(self, space: ProductSpace) -> None:

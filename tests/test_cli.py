@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -302,7 +303,6 @@ class TestExactNumbers:
         [pytest.param(field, doc, id=field) for field, doc in [
             ("mc.seed", _with(engine="mc", mc=dict(MC_RUN, seed=2.9))),
             ("mc.outer_samples", _with(engine="mc", mc=dict(MC_RUN, outer_samples=100.9))),
-            ("mc.inner_pairs", _with(engine="mc", mc=dict(MC_RUN, inner_pairs=True))),
             ("mc.ks", _with(engine="mc", mc=dict(MC_RUN, ks=[1.5]))),
             ("statistic.params.terms[0]",
              _with(statistic={"kind": "poly", "params": {"terms": [[1.0, [1, 1.7]]]}})),
@@ -341,6 +341,22 @@ class TestSelfcheck:
         # degenerate draws (tiny supports, near-point-mass weights) must pass
         monkeypatch.chdir(tmp_path)
         assert cli.main(["selfcheck", "--instances", "3", "--seed", "1"]) == 0
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--instances", "0"], "--instances: expected at least 1, got 0"),
+        (["--instances", "-3"], "--instances: expected at least 1, got -3"),
+        (["--seed", "-1"], "--seed: expected 0..2^64-1, got -1"),
+        (["--seed", str(1 << 64)], f"--seed: expected 0..2^64-1, got {1 << 64}"),
+    ], ids=["no-instances", "negative-instances", "negative-seed", "seed-2^64"])
+    def test_vacuous_or_invalid_runs_are_refused(self, tmp_path, monkeypatch, capsys, flags, message):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["selfcheck", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: {message}\n" and out == ""
+
+    def test_largest_seed_runs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["selfcheck", "--instances", "1", "--seed", str((1 << 64) - 1)]) == 0
 
     def test_mutation_is_detected(self, tmp_path, monkeypatch, capsys):
         # sign-flip the alternating series: the battery must fail with exit 2
@@ -418,6 +434,22 @@ class TestUnknownFields:
                          "--out", str(tmp_path / "good")]) == 0
         assert cli.main(["run", write_config(tmp_path, _typo("statistic.params", doc))]) == 1
         assert "statistic.params: unknown field 'stray'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("inner_pairs", 1), ("subset_mode", "auto")])
+    def test_removed_mc_fields(self, tmp_path, capsys, field, value):
+        # the estimators fix the subset plan and the completion pairs
+        doc = _with(engine="mc", mc=dict(MC_RUN, **{field: value}))
+        assert cli.main(["run", write_config(tmp_path, doc)]) == 1
+        assert f"mc: unknown field {field!r}" in capsys.readouterr().err
+
+    def test_documented_schema_is_the_parsed_schema(self):
+        doc = cli.__doc__
+        block, kinds = doc[doc.index("Config schema"):doc.index("A field outside")].split("statistic params")
+        assert tuple(re.findall(r'^  "(\w+)":', block, re.M)) == cli.ROOT_FIELDS
+        mc_line = re.search(r'"mc": \{(.*?)\}', block, re.S).group(1)
+        assert tuple(re.findall(r'"(\w+)":', mc_line)) == cli.MC_FIELDS
+        params = dict(re.findall(r"^  (\w+) +\{(.*)\}$", kinds, re.M))
+        assert {kind: tuple(re.findall(r'"(\w+)":', p)) for kind, p in params.items()} == cli.STATISTIC_PARAMS
 
     def test_misspelt_sample_count(self, tmp_path, capsys):
         doc = _with(engine="mc", mc={"outer_sample": 100})

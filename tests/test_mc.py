@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -125,27 +126,26 @@ class TestConfig:
         with pytest.raises(jv.ModelError):
             jv.McConfig(seed=0, outer_samples=1)
         with pytest.raises(jv.ModelError):
-            jv.McConfig(seed=0, outer_samples=10, inner_pairs=0)
-        with pytest.raises(jv.ModelError):
-            jv.McConfig(seed=0, outer_samples=10, subset_mode="bogus")
-        with pytest.raises(jv.ModelError):
             jv.McConfig(seed=-1, outer_samples=10)
 
     @pytest.mark.parametrize("field, value", [
         ("seed", 2.7), ("seed", 2.0), ("seed", True),
         ("outer_samples", 100.9), ("outer_samples", np.float64(100.0)),
-        ("inner_pairs", 1.5), ("inner_pairs", True), ("inner_pairs", np.bool_(True)),
+        ("outer_samples", True), ("outer_samples", np.bool_(True)),
     ])
     def test_refuses_non_integers(self, field, value):
-        settings = dict(seed=2, outer_samples=50, inner_pairs=1)
+        settings = dict(seed=2, outer_samples=50)
         settings[field] = value
         with pytest.raises(jv.ModelError, match=f"{field} must be an integer"):
             jv.McConfig(**settings)
 
     def test_numpy_integers_accepted(self, rad2, prod_stat):
-        cfg = jv.McConfig(seed=np.uint64(2), outer_samples=np.int64(50), inner_pairs=np.int32(2))
+        cfg = jv.McConfig(seed=np.uint64(2), outer_samples=np.int64(50))
         est = jv.estimate_variance(rad2, prod_stat, cfg)
-        assert est == jv.estimate_variance(rad2, prod_stat, jv.McConfig(2, 50, 2))
+        assert est == jv.estimate_variance(rad2, prod_stat, jv.McConfig(2, 50))
+
+    def test_fields_are_the_seed_and_the_sample_count(self):
+        assert [f.name for f in dataclasses.fields(jv.McConfig)] == ["seed", "outer_samples"]
 
 
 class TestTotalMoment:
@@ -174,8 +174,9 @@ class TestTotalMoment:
         b = jv.estimate_iterated_jackknife(rad3, u2_stat, 2, cfg)
         assert a == b
 
-    def test_sampled_subset_mode(self, rad3, u2_stat):
-        cfg = jv.McConfig(seed=26, outer_samples=100_000, subset_mode="sample")
+    def test_sampled_subset_mode(self, monkeypatch, rad3, u2_stat):
+        monkeypatch.setattr(mc, "ENUMERATE_SUBSET_LIMIT", 0)  # sample even the 3 singletons
+        cfg = jv.McConfig(seed=26, outer_samples=100_000)
         est = jv.estimate_iterated_jackknife(rad3, u2_stat, 1, cfg)
         assert abs(est.mean - 6.0) <= 4 * est.std_error
 
@@ -223,14 +224,6 @@ class TestProjectedMoment:
         )
         assert abs(est.mean - 0.0) <= 4 * est.std_error + 1e-12
 
-    def test_inner_pairs_reduce_variance(self, rad3, u2_stat):
-        base = jv.McConfig(seed=35, outer_samples=20_000)
-        more = jv.McConfig(seed=35, outer_samples=20_000, inner_pairs=4)
-        a = jv.estimate_projected_jackknife(rad3, u2_stat, 2, base)
-        b = jv.estimate_projected_jackknife(rad3, u2_stat, 2, more)
-        assert b.std_error < a.std_error
-        assert abs(b.mean - 6.0) <= 4 * b.std_error
-
 
 LAW = jv.DiscreteDistribution([-1.5, 0.25, 2.0], [0.2, 0.5, 0.3])
 
@@ -248,19 +241,25 @@ def catalog(n):
 
 IID = jv.build_space([LAW] * 4)
 KINDS = catalog(4)
+# the "-sampled" entries run with ENUMERATE_SUBSET_LIMIT = 0, so each row samples one subset
 ESTIMATORS = {
     "var": lambda st, cfg: jv.estimate_variance(IID, st, cfg),
-    "ej": lambda st, cfg: jv.estimate_iterated_jackknife(
-        IID, st, 2, jv.McConfig(cfg.seed, cfg.outer_samples, subset_mode="enumerate")),
-    "ej-sampled": lambda st, cfg: jv.estimate_iterated_jackknife(
-        IID, st, 3, jv.McConfig(cfg.seed, cfg.outer_samples, subset_mode="sample")),
-    "ek": lambda st, cfg: jv.estimate_projected_jackknife(
-        IID, st, 2, jv.McConfig(cfg.seed, cfg.outer_samples, inner_pairs=2, subset_mode="enumerate")),
-    "ek-sampled": lambda st, cfg: jv.estimate_projected_jackknife(
-        IID, st, 3, jv.McConfig(cfg.seed, cfg.outer_samples, subset_mode="sample")),
+    "ej": lambda st, cfg: jv.estimate_iterated_jackknife(IID, st, 2, cfg),
+    "ej-sampled": lambda st, cfg: jv.estimate_iterated_jackknife(IID, st, 3, cfg),
+    "ek": lambda st, cfg: jv.estimate_projected_jackknife(IID, st, 2, cfg),
+    "ek-sampled": lambda st, cfg: jv.estimate_projected_jackknife(IID, st, 3, cfg),
     "diff": lambda st, cfg: jv.estimate_difference_moment(IID, st, [1, 3], cfg),
     "bias": lambda st, cfg: jv.efron_stein_bias(IID, st, cfg),
 }
+
+
+@pytest.fixture
+def unranked(monkeypatch):
+    """Calls of the sampled subset plan (mc._unrank_combinations) during the test."""
+    calls = []
+    unrank = mc._unrank_combinations
+    monkeypatch.setattr(mc, "_unrank_combinations", lambda *a: calls.append(a) or unrank(*a))
+    return calls
 
 
 def driver_call(monkeypatch, estimate):
@@ -277,9 +276,12 @@ def driver_call(monkeypatch, estimate):
 class TestBlockDriver:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("name", ESTIMATORS)
-    def test_any_partition_is_bit_identical(self, monkeypatch, name, kind):
+    def test_any_partition_is_bit_identical(self, monkeypatch, unranked, name, kind):
         cfg = jv.McConfig(seed=25, outer_samples=53)
+        if name.endswith("-sampled"):
+            monkeypatch.setattr(mc, "ENUMERATE_SUBSET_LIMIT", 0)
         args = driver_call(monkeypatch, lambda: ESTIMATORS[name](KINDS[kind], cfg))
+        assert bool(unranked) == name.endswith("-sampled")  # the plan under test ran
         whole = mc._contributions(*args)  # one block: 53 < BLOCK_ROWS
         assert whole.shape == (53,)
         monkeypatch.setattr(mc, "BLOCK_ROWS", 16)
@@ -417,8 +419,68 @@ class TestUnrank:
         want = [unrank_combination(int(r), n, k) for r in ranks]
         assert list(map(tuple, mc._unrank_combinations(ranks, n, k).tolist())) == want
 
-    def test_too_many_subsets_for_int64_ranks(self):
+    def test_too_many_subsets_for_int64_ranks(self, monkeypatch):
         wide = jv.build_space([RAD] * 70)
-        with pytest.raises(jv.ModelError, match="rank range"):
-            jv.estimate_iterated_jackknife(
-                wide, jv.Statistic.coordinate_max(), 35, jv.McConfig(seed=0, outer_samples=10))
+        monkeypatch.setattr(mc, "_contributions", lambda *a: pytest.fail("sampled"))
+        for estimate in (jv.estimate_iterated_jackknife, jv.estimate_projected_jackknife):
+            with pytest.raises(jv.ModelError, match=r"C\(70,35\) = 112186277816662845432 .* rank range"):
+                estimate(wide, jv.Statistic.coordinate_max(), 35, jv.McConfig(seed=0, outer_samples=10))
+
+
+class TestSubsetPlan:
+    @pytest.mark.parametrize("n, k, sampled", [
+        (10, 1, False), (10, 2, False), (10, 3, True), (40, 1, False), (40, 2, True), (8, 3, False),
+    ])
+    def test_enumerates_up_to_the_limit_and_samples_past_it(self, unranked, n, k, sampled):
+        # C(10,2) = 45, C(8,3) = 56 <= 64 < C(10,3) = 120, C(40,2) = 780
+        space, cfg = jv.build_space([LAW] * n), jv.McConfig(seed=3, outer_samples=20)
+        for estimate in (jv.estimate_iterated_jackknife, jv.estimate_projected_jackknife):
+            estimate(space, jv.Statistic.coordinate_max(), k, cfg)
+        assert len(unranked) == (2 if sampled else 0)
+
+
+def pinned_poly(n):
+    """x1 x2 - 0.5 x2^2 x3 x4 ... xn: interactions of every order up to n - 1."""
+    return jv.Statistic.polynomial([(1.0, (1, 1) + (0,) * (n - 2)), (-0.5, (0, 2, 1) + (1,) * (n - 3))])
+
+
+class TestPinnedEstimates:
+    """Default-config estimates as float.hex (mean, standard error).
+
+    A refactor that moves any bit of them fails here, not only the
+    statistical tests.  The n = 4 moments enumerate their subsets and the
+    n = 9 order-3 moments (C(9,3) = 84) sample one per row.
+    """
+
+    SMALL, WIDE = jv.build_space([LAW] * 4), jv.build_space([LAW] * 9)
+    CFG = jv.McConfig(seed=81, outer_samples=2000)
+    PINNED = {
+        "ej2-enumerated": ("0x1.1871b79b645a2p+4", "0x1.a2bdc71dc52f2p-1"),
+        "ek2-enumerated": ("0x1.0f8d941eb851fp+3", "0x1.101efa060925ap+0"),
+        "ej3-sampled": ("0x1.3c53d8f459a73p+12", "0x1.9baa9bf5a4f7cp+10"),
+        "ek3-sampled": ("-0x1.2573aeedff037p+7", "0x1.0bc200f53cee2p+7"),
+        "var": ("0x1.a98ac5b22d0e5p+2", "0x1.3276983fd7467p-2"),
+        "diff23": ("0x1.cf4cf920c49bap+2", "0x1.1b778ee80c360p-1"),
+        "bias": ("0x1.a3aef9c9a0275p+3", "0x1.99cd6f0b3ac42p-1"),
+        "bracket1.lower_j": ("0x1.8c6755c000000p+2", "0x1.72a33f1d13baep-1"),
+        "bracket1.lower_jk": ("0x1.01bae3b70a3d7p+3", "0x1.9f37a44ce52bep-1"),
+        "bracket1.upper_jk": ("0x1.56de986c08312p+3", "0x1.995f6d4f9942cp-1"),
+        "bracket1.upper_j": ("0x1.dea5627b645a2p+3", "0x1.31d63fffaba36p-1"),
+    }
+
+    def test_bit_identical(self):
+        small, wide, cfg = self.SMALL, self.WIDE, self.CFG
+        s4, s9 = pinned_poly(4), pinned_poly(9)
+        got = {
+            "ej2-enumerated": jv.estimate_iterated_jackknife(small, s4, 2, cfg),
+            "ek2-enumerated": jv.estimate_projected_jackknife(small, s4, 2, cfg),
+            "ej3-sampled": jv.estimate_iterated_jackknife(wide, s9, 3, cfg),
+            "ek3-sampled": jv.estimate_projected_jackknife(wide, s9, 3, cfg),
+            "var": jv.estimate_variance(small, s4, cfg),
+            "diff23": jv.estimate_difference_moment(small, s4, [2, 3], cfg),
+            "bias": jv.efron_stein_bias(small, s4, cfg),
+        }
+        bracket = jv.estimate_bracket(small, s4, 1, cfg)
+        for side in ("lower_j", "lower_jk", "upper_jk", "upper_j"):
+            got[f"bracket1.{side}"] = getattr(bracket, side)
+        assert {name: (e.mean.hex(), e.std_error.hex()) for name, e in got.items()} == self.PINNED

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import jackvar as jv
+from jackvar import bounds, mc
 from jackvar.model import DEFAULT_OUTCOME_CAP, GridSizeError
 
 from bruteforce import BruteSpace, mean as brute_mean, statistic_at, variance as brute_variance
@@ -346,3 +347,50 @@ class TestStatisticIdentity:
     def test_params_decide_equality(self):
         assert jv.Statistic.table([1.0, 2.0]) != jv.Statistic.table([1.0, 3.0])
         assert jv.Statistic.table([1.0]) != jv.Statistic.linear([1.0])
+
+
+RAD2 = jv.build_space([RAD, RAD])
+PROD = jv.Statistic.polynomial([(1.0, (1, 1))])
+CFG = jv.McConfig(seed=1, outer_samples=10)
+
+
+class TestIntegerInputs:
+    """Every integer input of the library takes Python or numpy integers and
+    refuses booleans and non-integers with a ModelError naming it, never
+    truncating or failing with a raw TypeError."""
+
+    @pytest.mark.parametrize("what, call", [pytest.param(what, call, id=name) for name, what, call in [
+        ("sample_outcomes-seed", "seed", lambda: jv.sample_outcomes(RAD2, 4, seed=2.7)),
+        ("sample_outcomes-count", "count", lambda: jv.sample_outcomes(RAD2, 2.5, seed=1)),
+        ("sample_outcomes-start", "start", lambda: jv.sample_outcomes(RAD2, 2, seed=1, start=1.0)),
+        ("stream_rng-seed", "seed", lambda: mc.stream_rng(True, 1, 0)),
+        ("stream_rng-tag", "stream tag", lambda: mc.stream_rng(1, 1.5, 0)),
+        ("stream_rng-index", "sample index", lambda: mc.stream_rng(1, 1, 0.5)),
+        ("McConfig-seed", "seed", lambda: jv.McConfig(seed=np.float64(2.0), outer_samples=10)),
+        ("McConfig-outer_samples", "outer_samples", lambda: jv.McConfig(seed=1, outer_samples=10.0)),
+        ("IndexSet-float", "coordinate index", lambda: jv.IndexSet([1.7, 2])),
+        ("IndexSet-bool", "coordinate index", lambda: jv.IndexSet([True])),
+        ("iterated_variance-order", "coordinate index",
+         lambda: jv.iterated_variance(jv.CondExpCache(jv.tabulate(PROD, RAD2)), [1.9])),
+        ("polynomial-float", "poly exponent", lambda: jv.Statistic.polynomial([(1.0, (1.7, 0))])),
+        ("polynomial-bool", "poly exponent", lambda: jv.Statistic.polynomial([(1.0, (True, 0))])),
+        ("total-k", "order k", lambda: jv.estimate_iterated_jackknife(RAD2, PROD, 1.5, CFG)),
+        ("projected-k", "order k", lambda: jv.estimate_projected_jackknife(RAD2, PROD, True, CFG)),
+        ("estimate_bracket-p", "p", lambda: jv.estimate_bracket(RAD2, PROD, 1.0, CFG)),
+        ("bracket_terms-p", "p", lambda: bounds.bracket_terms(4, np.float64(1.0))),
+    ]])
+    def test_refused(self, what, call):
+        with pytest.raises(jv.ModelError, match=f"^{what} must be an integer, got "):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        assert np.array_equal(jv.sample_outcomes(RAD2, np.int32(4), seed=np.uint64(2), start=np.int64(3)),
+                              jv.sample_outcomes(RAD2, 4, seed=2, start=3))
+        assert jv.IndexSet([np.int64(2), 1]).indices == (1, 2)
+        assert jv.Statistic.polynomial([(1.0, (np.int8(1), 0))]) == jv.Statistic.polynomial([(1.0, (1, 0))])
+        assert bounds.bracket_terms(4, np.int64(2)) == bounds.bracket_terms(4, 2)
+        cache = jv.CondExpCache(jv.tabulate(PROD, RAD2))
+        assert np.array_equal(jv.iterated_variance(cache, [np.int64(2), 1]).array,
+                              jv.iterated_variance(cache, [2, 1]).array)
+        k = np.int16(2)
+        assert jv.estimate_iterated_jackknife(RAD2, PROD, k, CFG) == jv.estimate_iterated_jackknife(RAD2, PROD, 2, CFG)
