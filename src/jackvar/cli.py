@@ -27,7 +27,10 @@ statistic params per kind:
   ustat2 {"g": [[support_value, g_value], ...]}
   poly   {"terms": [[coef, [e_1..e_n]], ...]}
 
-A field outside this schema is refused (exit 1), never ignored.
+A field outside this schema is refused (exit 1), never ignored.  An MC
+run whose samples times statistic evaluations per row, summed over the
+variance and every moment its orders and brackets need, exceed
+MC_EVALUATION_LIMIT is refused (exit 1) before either engine starts.
 
 JSON reals are emitted with Python's shortest round-trip repr, so parsing
 the report back yields bit-identical floats.
@@ -43,9 +46,9 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .bounds import BoundsReport, exact_report
+from .bounds import BoundsReport, bracket_terms, exact_report
 from .conditional import CondExpCache
-from .mc import McConfig, assemble_bracket, estimate_variance, moment_estimates
+from .mc import McConfig, assemble_bracket, estimate_variance, evaluations_per_row, moment_estimates
 from .model import DiscreteDistribution, ModelError, NonFiniteError, ProductSpace, \
     Statistic, build_space, tabulate
 from .selfcheck import run_battery
@@ -54,6 +57,11 @@ ENGINES = ("exact", "mc", "both")
 FORMATS = ("json", "csv", "both")
 
 CSV_COLUMNS = ("p", "lower_J", "lower_JK", "var", "upper_JK", "upper_J")
+
+# statistic evaluations one MC run may request: 2-3 minutes at the 5e6-1e7
+# per second a run reaches on a 2-core host (binary n = 12 `sum`, 4-point
+# n = 10 `max`); the default orders of binary n = 30 would ask for 8e13
+MC_EVALUATION_LIMIT = 10**9
 
 # the documented schema: every field each config object may hold
 ROOT_FIELDS = ("distributions", "statistic", "engine", "mc", "bounds", "output")
@@ -251,10 +259,40 @@ def parse_config(raw: dict) -> InstanceConfig:
     )
 
 
+def _mc_orders(cfg: InstanceConfig) -> tuple:
+    """The MC orders and bracket depths a run reports: the config's, or every valid one."""
+    n = cfg.space.n
+    ks = cfg.ks or range(1, n + 1)
+    return ks, cfg.p_values if cfg.p_values is not None else range(1, n // 2 + 1)
+
+
+def _check_mc_cost(cfg: InstanceConfig) -> None:
+    """Refuse a run whose samples times evaluations per row exceed MC_EVALUATION_LIMIT.
+
+    Counts each (family, k) moment once, as `moment_estimates` estimates it,
+    plus the variance; an order the estimators refuse raises here first.
+    """
+    space = cfg.space
+    ks, p_values = _mc_orders(cfg)
+    moments = {(family, k) for family in ("ej", "ek") for k in ks}
+    for p in p_values:
+        for terms in bracket_terms(space.n, p).values():
+            moments.update((family, k) for family, k, _ in terms)
+    per_row = evaluations_per_row(space, "var")
+    per_row += sum(evaluations_per_row(space, family, k) for family, k in sorted(moments))
+    evaluations = cfg.mc.outer_samples * per_row
+    if evaluations > MC_EVALUATION_LIMIT:
+        raise ModelError(
+            f"{evaluations} statistic evaluations ({cfg.mc.outer_samples} samples x {per_row} per row) "
+            f"exceed the limit of {MC_EVALUATION_LIMIT} per run; request fewer mc.ks, "
+            "bounds.p_values or mc.outer_samples"
+        )
+
+
 def _mc_section(cfg: InstanceConfig) -> dict:
     space, stat, mc_cfg = cfg.space, cfg.statistic, cfg.mc
     n = space.n
-    ks = cfg.ks or range(1, n + 1)
+    ks, p_values = _mc_orders(cfg)
 
     def as_dict(est):
         d = {"mean": est.mean, "std_error": est.std_error, "samples": est.samples}
@@ -270,7 +308,6 @@ def _mc_section(cfg: InstanceConfig) -> dict:
         "ej": {str(k): as_dict(moment("ej", k)) for k in ks},
         "ek": {str(k): as_dict(moment("ek", k)) for k in ks},
     }
-    p_values = cfg.p_values if cfg.p_values is not None else range(1, n // 2 + 1)
     brackets = []
     for p in p_values:
         b = assemble_bracket(n, p, moment)
@@ -345,6 +382,9 @@ def cmd_run(args) -> int:
     report = None
     mc_section = None
     try:
+        if cfg.mc is not None:  # before either engine starts
+            where = "mc engine"
+            _check_mc_cost(cfg)
         if cfg.engine in ("exact", "both"):
             where = "exact engine"
             cache = CondExpCache(tabulate(cfg.statistic, cfg.space))

@@ -41,6 +41,8 @@ population is idempotent.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from .model import (
@@ -153,12 +155,12 @@ def iterated_variance(cache: CondExpCache, indices) -> FieldTable:
     """Iterated conditional variance of the base along a coordinate sequence.
 
     Follows the defining recursion in the order given: an `IndexSet` or a
-    single int runs ascending, any other iterable in its own order, so
+    single integer runs ascending, any other iterable in its own order, so
     order-irrelevance can be tested against the ascending path.  Repeated
     coordinates are refused.  The result is constant along every coordinate
     in the sequence and non-negative after the documented clamp.
     """
-    if isinstance(indices, (int, IndexSet)):
+    if isinstance(indices, IndexSet) or not isinstance(indices, Iterable):
         order = list(as_index_set(indices))
     else:
         order = [as_integer("coordinate index", i) for i in indices]

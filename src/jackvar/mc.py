@@ -26,12 +26,16 @@ One block driver
 An estimator is a stream tag, a count of uniforms per sample row, and a
 function from a block of uniform rows to one contribution per row.
 `_contributions` draws the rows BLOCK_ROWS at a time with `_uniform_block`,
-maps each block and concatenates; `_estimate_from` reduces once.  Memory
-is bounded by one block of uniforms, indices and statistic values, plus
-8 bytes per sample.  BLOCK_ROWS is a constant, not an option, because no
-partition changes a result; that holds because every step is row-local
-(`Statistic.on_indices` uses no BLAS product, whose rounding depends on
-the block shape).
+maps each block and concatenates; `_estimate_from` reduces once.  Within a
+block the layers are: uniforms, inverse CDF (`_indices_from_uniform`),
+statistic evaluation (`Statistic.on_indices`, the only way S is
+evaluated) and the per-row contribution.  Memory is bounded by one block
+of uniforms, indices and statistic values, plus at most
+ENUMERATE_SUBSET_LIMIT = 64 running differences of one block column per
+completion in an enumerated moment, plus 8 bytes per sample.  BLOCK_ROWS
+is a constant, not an option, because no partition changes a result;
+that holds because every step is row-local (`Statistic.on_indices` uses
+no BLAS product, whose rounding depends on the block shape).
 
 The block generator
 -------------------
@@ -57,6 +61,14 @@ samples one, weighted by C(n,k); nothing else picks the plan.  Enumerating
 removes the subset-choice variance at C(n,k) terms per row, which 64 caps:
 n = 10 enumerates orders 1 and 2 (10 and 45 subsets) and samples order 3.
 
+The statistic evaluations per sample row are `evaluations_per_row`.  A
+sampled subset costs 2^k per completion: one per replaced set J of its
+alternating difference.  An enumerated row shares them: S(x with J
+replaced) is the same for every subset containing J, so it is evaluated
+once per J, sum_{j<=k} C(n, j) times per completion (56 in place of 180
+for order 2 at n = 10), and added into each subset's difference in the
+order that keeps every estimate bit-identical to the per-subset sums.
+
 Order-k total moment: draw the coordinates and one independent copy per
 coordinate; the term is k! * D^2 / 2^k, D the alternating replace-on-subset
 difference.
@@ -78,8 +90,10 @@ Brackets combine per-order estimates with the coefficients of
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +121,7 @@ TAG_DIFF_BASE = 3 << 16  # + subset bitmask
 ENUMERATE_SUBSET_LIMIT = 64
 BLOCK_ROWS = 8192
 _TILE_ROWS = 1024  # rows of Philox words in flight; bounds the generator's scratch
+_COUNT_SUPPORT = 64  # largest support inverted by counting thresholds; faster, never different
 
 
 @dataclass(frozen=True)
@@ -155,7 +170,10 @@ def _word64(what: str, value: int) -> int:
 def stream_rng(seed: int, tag: int, index: int) -> np.random.Generator:
     """Generator for one (purpose, sample index) pair; see module docstring."""
     key = _word64("seed", seed) | (_word64("stream tag", tag) << 64)
-    return np.random.Generator(np.random.Philox(key=key, counter=as_integer("sample index", index) << 128))
+    index = as_integer("sample index", index)
+    if not 0 <= index <= _MASK64:
+        raise ModelError(f"sample index {index} is outside the 64-bit counter word 0..2^64-1")
+    return np.random.Generator(np.random.Philox(key=key, counter=index << 128))
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,15 +226,30 @@ def _cdfs(space: ProductSpace) -> list[np.ndarray]:
 
 
 def _indices_from_uniform(cdfs, u: np.ndarray, coords=None) -> np.ndarray:
-    """Inverse-CDF per column; column j maps to coords[j] (1-based), default 1..n."""
+    """Inverse CDF per column; column j maps to coords[j] (1-based), default 1..n.
+
+    The index of u under a CDF of m entries is min(searchsorted(cdf, u,
+    "right"), m - 1).  A CDF never decreases, so that is the count of the
+    m - 1 thresholds cdf[:-1] at or below u, however u meets them.  Each
+    run of adjacent columns with one CDF (the whole block on an iid space)
+    is inverted at once, in place in the index array: a support of at most
+    _COUNT_SUPPORT points by adding up one comparison per threshold (a
+    boolean mask of the run at a time), a larger one by a binary search.
+    """
     if coords is None:
         coords = range(1, u.shape[-1] + 1)
     idx = np.empty(u.shape, dtype=np.int64)
-    for j, c in enumerate(coords):
-        cdf = cdfs[c - 1]
-        idx[..., j] = np.minimum(
-            np.searchsorted(cdf, u[..., j], side="right"), cdf.size - 1
-        )
+    stop = 0
+    for _, run in itertools.groupby((cdfs[c - 1] for c in coords), key=np.ndarray.tobytes):
+        thresholds = next(run)[:-1]
+        start, stop = stop, stop + 1 + sum(1 for _ in run)
+        out, block = idx[..., start:stop], u[..., start:stop]
+        if thresholds.size < _COUNT_SUPPORT:
+            out.fill(0)
+            for t in thresholds:
+                out += block >= t
+        else:
+            out[...] = np.searchsorted(thresholds, block, side="right")
     return idx
 
 
@@ -248,6 +281,7 @@ def _alternating_eval(space, statistic, base_idx, repl_idx, positions) -> np.nda
     """sum_{J subset of row's position set} (-1)^|J| S(base with J columns replaced).
 
     positions: (N, k) 0-based coordinate columns, possibly different per row.
+    2^k evaluations of S per row; J runs through the local bitmasks `bits`.
     """
     count, k = positions.shape
     rows = np.arange(count)[:, None]
@@ -260,6 +294,38 @@ def _alternating_eval(space, statistic, base_idx, repl_idx, positions) -> np.nda
         sign = -1.0 if bin(bits).count("1") % 2 else 1.0
         total += sign * statistic.on_indices(space, mix)
     return total
+
+
+def _enumerated_differences(space, statistic, base_idx, repl_idx, k) -> list[np.ndarray]:
+    """`_alternating_eval` on every k-subset, in itertools.combinations order.
+
+    S(base with J replaced) is one array for every subset I that contains
+    J, so it is evaluated once per replaced set J, sum_{j<=k} C(n, j) times
+    a row, and added into each such D_I.  Each subset lists its replaced
+    sets as global bitmasks in increasing order, and a lazy merge of those
+    lists visits every J in increasing global order; restricted to one I
+    that is the order of its local `bits`, so each D_I receives exactly the
+    additions of `_alternating_eval`, in the same order.  Beyond the block
+    this holds one running D_I per subset, never a table of all J.
+    """
+    subsets = list(itertools.combinations(range(base_idx.shape[1]), k))
+    diffs = [np.zeros(base_idx.shape[0]) for _ in subsets]
+
+    def replaced_sets(which, subset):
+        for bits in range(1 << k):
+            chosen = [c for t, c in enumerate(subset) if bits >> t & 1]
+            yield sum(1 << c for c in chosen), which, chosen
+
+    merged = heapq.merge(*(replaced_sets(which, subset) for which, subset in enumerate(subsets)))
+    for _, sharing in itertools.groupby(merged, key=operator.itemgetter(0)):
+        sharing = list(sharing)
+        chosen = sharing[0][2]
+        mix = base_idx.copy()
+        mix[:, chosen] = repl_idx[:, chosen]
+        term = (-1.0 if len(chosen) % 2 else 1.0) * statistic.on_indices(space, mix)
+        for _, which, _ in sharing:
+            diffs[which] += term
+    return diffs
 
 
 def _unrank_combinations(ranks: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -285,22 +351,28 @@ def _unrank_combinations(ranks: np.ndarray, n: int, k: int) -> np.ndarray:
     return out
 
 
-def _over_subsets(n: int, k: int, rank_u: np.ndarray, term, weight: float) -> np.ndarray:
-    """Unbiased per-row estimate of weight * sum of term(positions) over all k-subsets.
+def _over_subsets(space, statistic, k: int, rank_u: np.ndarray, completions, weight: float) -> np.ndarray:
+    """Unbiased per-row estimate of weight * sum over all k-subsets I of D_I D'_I.
 
-    Up to ENUMERATE_SUBSET_LIMIT subsets all are enumerated; past it a row
-    takes the subset of lexicographic rank floor(rank_u * C(n,k)), weighted
-    by C(n,k).  positions is a (rows, k) array of 0-based columns.
+    completions holds one (base, repl) pair of index blocks, whose
+    alternating difference D_I is squared, or two, whose D_I are
+    multiplied.  Up to ENUMERATE_SUBSET_LIMIT subsets all are enumerated
+    (`_enumerated_differences`) and the products summed in
+    itertools.combinations order; past it a row takes the subset of
+    lexicographic rank floor(rank_u * C(n,k)), weighted by C(n,k).
     """
-    count = rank_u.shape[0]
+    n = space.n
     n_subsets = math.comb(n, k)
     if n_subsets <= ENUMERATE_SUBSET_LIMIT:
-        total = np.zeros(count)
-        for subset in itertools.combinations(range(n), k):
-            total += term(np.broadcast_to(np.asarray(subset), (count, k)))
+        diffs = [_enumerated_differences(space, statistic, base, repl, k) for base, repl in completions]
+        total = np.zeros(rank_u.shape[0])
+        for d in zip(*diffs):
+            total += d[0] * d[-1]
         return weight * total
     ranks = np.minimum((rank_u * n_subsets).astype(np.int64), n_subsets - 1)
-    return (weight * n_subsets) * term(_unrank_combinations(ranks, n, k))
+    positions = _unrank_combinations(ranks, n, k)
+    d = [_alternating_eval(space, statistic, base, repl, positions) for base, repl in completions]
+    return (weight * n_subsets) * (d[0] * d[-1])
 
 
 def _check_k(space: ProductSpace, k: int) -> tuple[int, float]:
@@ -313,6 +385,30 @@ def _check_k(space: ProductSpace, k: int) -> tuple[int, float]:
     if n_subsets > _INT64_MAX:
         raise ModelError(f"C({space.n},{k}) = {n_subsets} subsets exceed the 64-bit rank range 0..2^63-1")
     return k, kf
+
+
+def evaluations_per_row(space: ProductSpace, family: str, k: int = 0) -> int:
+    """Statistic evaluations (`Statistic.on_indices` rows) per sample row of one estimator.
+
+    family is "ej" or "ek" for the total or projected moment of order k,
+    "diff" for the difference moment of a k-coordinate set, "var" or
+    "bias".  An enumerated order evaluates S once per replaced set
+    (`_enumerated_differences`), a sampled one 2^k times, and a projected
+    moment does either for each of its two completions.  An order the
+    moment estimators refuse raises here as it does there.
+    """
+    n = space.n
+    if family == "var":
+        return 2
+    if family == "bias":
+        return n + 2
+    if family == "diff":
+        return 1 << k
+    completions = {"ej": 1, "ek": 2}[family]
+    k, _ = _check_k(space, k)
+    if math.comb(n, k) <= ENUMERATE_SUBSET_LIMIT:
+        return completions * sum(math.comb(n, j) for j in range(k + 1))
+    return completions << k
 
 
 def _estimate_from(contribs: np.ndarray, flag_negative: bool = False) -> McEstimate:
@@ -338,12 +434,7 @@ def estimate_iterated_jackknife(
     def contribute(cdfs, u):
         x = _indices_from_uniform(cdfs, u[:, :n])
         y = _indices_from_uniform(cdfs, u[:, n : 2 * n])
-
-        def squared_difference(pos):
-            d = _alternating_eval(space, statistic, x, y, pos)
-            return d * d
-
-        return _over_subsets(n, k, u[:, 2 * n], squared_difference, kf / 2.0**k)
+        return _over_subsets(space, statistic, k, u[:, 2 * n], [(x, y)], kf / 2.0**k)
 
     return _estimate_from(
         _contributions(space, statistic, cfg, TAG_TOTAL_BASE + k, 2 * n + 1, contribute)
@@ -365,12 +456,7 @@ def estimate_projected_jackknife(
         x = _indices_from_uniform(cdfs, u[:, :n])
         first = _indices_from_uniform(cdfs, u[:, n : 2 * n])
         second = _indices_from_uniform(cdfs, u[:, 2 * n : 3 * n])
-
-        def pair_product(pos):
-            d = _alternating_eval(space, statistic, first, x, pos)
-            return d * _alternating_eval(space, statistic, second, x, pos)
-
-        return _over_subsets(n, k, u[:, 3 * n], pair_product, kf)
+        return _over_subsets(space, statistic, k, u[:, 3 * n], [(first, x), (second, x)], kf)
 
     contribs = _contributions(space, statistic, cfg, TAG_PROJECTED_BASE + k, 3 * n + 1, contribute)
     return _estimate_from(contribs, flag_negative=True)

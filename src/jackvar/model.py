@@ -176,10 +176,10 @@ class IndexSet:
 
 
 def as_index_set(indices) -> IndexSet:
-    """Accept an IndexSet, a single int, or any iterable of ints."""
+    """Accept an IndexSet, a single Python or numpy integer, or any iterable of them."""
     if isinstance(indices, IndexSet):
         return indices
-    if isinstance(indices, int):
+    if not isinstance(indices, Iterable):  # one coordinate: IndexSet refuses all but an integer
         return IndexSet((indices,))
     return IndexSet(indices)
 

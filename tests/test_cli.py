@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -484,3 +485,51 @@ class TestMcEngineLimits:
         err = capsys.readouterr().err
         assert "mc engine: C(70,35) = 112186277816662845432 subsets exceed" in err
         assert "statistic:" not in err
+
+
+def evaluations_per_row(n: int, k: int, completions: int) -> int:
+    """One order's statistic evaluations per row, counted independently of the library."""
+    if math.comb(n, k) <= 64:  # enumerated: one per replaced set of at most k coordinates
+        return completions * sum(math.comb(n, j) for j in range(k + 1))
+    return completions * 2**k
+
+
+class TestMcCostRule:
+    """`run --engine mc` counts its statistic evaluations before drawing anything."""
+
+    @pytest.mark.parametrize("engine", ["mc", "both"])
+    def test_default_orders_at_n30_are_refused(self, monkeypatch, tmp_path, capsys, engine):
+        # this config used to run for hours: every order 1..30 with 10000 samples
+        doc = {
+            "distributions": [{"support": [-1.0, 1.0], "probs": [0.5, 0.5]}] * 30,
+            "statistic": {"kind": "sum", "params": {"weights": [1.0] * 30}},
+            "engine": engine,
+            "mc": {},
+            "output": {"path": str(tmp_path / "out")},
+        }
+        monkeypatch.setattr(jv.mc, "_contributions", lambda *a: pytest.fail("sampled"))
+        monkeypatch.setattr(cli, "tabulate", lambda *a: pytest.fail("tabulated"))
+        assert cli.main(["run", write_config(tmp_path, doc)]) == 1
+        per_row = 2 + sum(evaluations_per_row(30, k, 1) + evaluations_per_row(30, k, 2) for k in range(1, 31))
+        err = capsys.readouterr().err
+        assert f"mc engine: {10000 * per_row} statistic evaluations (10000 samples x {per_row} per row)" in err
+        assert f"exceed the limit of {cli.MC_EVALUATION_LIMIT} per run" in err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_limit_is_inclusive(self, monkeypatch, tmp_path):
+        # var, ej 1..2, ek 1..2 and the bracket's ek 3, all enumerated
+        doc = _binary(4, {"ks": [1, 2]}, [1], tmp_path)
+        per_row = 2 + 5 + 10 + 11 + 22 + 30
+        monkeypatch.setattr(cli, "MC_EVALUATION_LIMIT", 100 * per_row)
+        assert cli.main(["run", write_config(tmp_path, doc)]) == 0
+        monkeypatch.setattr(cli, "MC_EVALUATION_LIMIT", 100 * per_row - 1)
+        assert cli.main(["run", write_config(tmp_path, doc)]) == 1
+
+    def test_bracket_orders_are_counted(self, monkeypatch, tmp_path, capsys):
+        # ks [1] alone, but bracket p = 1 also estimates ej 2, ek 2 and ek 3
+        doc = _binary(12, {"ks": [1]}, [1], tmp_path)
+        monkeypatch.setattr(cli, "MC_EVALUATION_LIMIT", 0)
+        assert cli.main(["run", write_config(tmp_path, doc)]) == 1
+        per_row = (2 + evaluations_per_row(12, 1, 1) + evaluations_per_row(12, 1, 2) + evaluations_per_row(12, 2, 1)
+                   + evaluations_per_row(12, 2, 2) + evaluations_per_row(12, 3, 2))
+        assert f"(100 samples x {per_row} per row)" in capsys.readouterr().err

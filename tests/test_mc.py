@@ -113,12 +113,74 @@ class TestUniformBlock:
         with pytest.raises(jv.ModelError, match=f"seed {seed} is outside the 64-bit key word"):
             mc.stream_rng(seed, mc.TAG_OUTCOME, 0)
 
+    @pytest.mark.parametrize("index", [-1, 1 << 64])
+    def test_reference_refuses_indices_beyond_the_counter_word(self, index):
+        # -1 died with numpy's ValueError; 2^64 gave a row the block generator refuses
+        with pytest.raises(jv.ModelError, match=f"sample index {index} is outside the 64-bit counter word"):
+            mc.stream_rng(1, 1, index)
+        assert mc.stream_rng(1, 1, TOP).random(2).tolist() == mc._uniform_block(1, 1, TOP, 1, 2)[0].tolist()
+
     def test_refuses_rows_beyond_the_counter_word(self, rad2):
         last = jv.sample_outcomes(rad2, 1, seed=5, start=TOP)
         assert np.array_equal(last, jv.sample_outcomes(rad2, 2, seed=5, start=TOP - 1)[1:])
         for start, count in ((TOP, 2), (1 << 64, 1), (-1, 1)):
             with pytest.raises(jv.ModelError, match="64-bit counter"):
                 jv.sample_outcomes(rad2, count, seed=5, start=start)
+
+
+def searchsorted_indices(cdfs, u, coords):
+    """The reference inverse CDF: one binary search per column."""
+    return np.stack([np.minimum(np.searchsorted(cdfs[c - 1], u[:, j], side="right"), cdfs[c - 1].size - 1)
+                     for j, c in enumerate(coords)], axis=1)
+
+
+ATOM = jv.DiscreteDistribution([-1.0, 0.5, 2.0], [0.5, 0.0, 0.5])  # a zero-probability atom
+TENTHS = jv.DiscreteDistribution(np.arange(10) * 0.3 - 1.0, [0.1] * 10)  # its CDF ends at 1 - 2^-53
+BROAD = jv.DiscreteDistribution(np.linspace(-2.0, 2.0, 80), np.arange(1, 81) / 3240.0)  # past the switch
+POINT = jv.DiscreteDistribution.point_mass(1.5)
+MIXED_LAWS = [ATOM, TENTHS, BROAD, RAD, TENTHS, POINT]
+
+
+class TestInverseCdf:
+    def test_laws_cover_the_edges(self):
+        cdfs = [np.cumsum(law.probs) for law in MIXED_LAWS]
+        assert cdfs[0][0] == cdfs[0][1]  # repeated CDF value
+        assert cdfs[1][-1] < 1.0
+        assert len(BROAD.support) > mc._COUNT_SUPPORT >= len(TENTHS.support)
+
+    @pytest.mark.parametrize("law", MIXED_LAWS + [jv.DiscreteDistribution.uniform(range(64))],
+                             ids=lambda d: f"m{d.size}")
+    def test_edges_match_searchsorted(self, law):
+        cdf = np.cumsum(law.probs)
+        below_one = np.nextafter(1.0, 0.0)
+        u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), [0.0, below_one]])
+        u = np.clip(u, 0.0, below_one)[:, None].repeat(3, axis=1)  # three columns of one law
+        cdfs = [cdf] * 3
+        got = mc._indices_from_uniform(cdfs, u)
+        assert np.array_equal(got, searchsorted_indices(cdfs, u, [1, 2, 3]))
+        assert got[:law.size - 1, 0].tolist() == [  # u at a CDF entry takes the next point
+            min(int(np.searchsorted(cdf, c, side="right")), law.size - 1) for c in cdf[:-1]]
+
+    def test_mixed_space_matches_searchsorted(self):
+        space = jv.build_space(MIXED_LAWS + [BROAD, BROAD, ATOM])
+        cdfs = mc._cdfs(space)
+        u = mc._uniform_block(3, mc.TAG_OUTCOME, 0, 5000, space.n)
+        for j, cdf in enumerate(cdfs):
+            u[: cdf.size, j] = cdf  # u at every CDF entry of its column
+        u[-2], u[-1] = 0.0, np.nextafter(1.0, 0.0)
+        coords = range(1, space.n + 1)
+        assert np.array_equal(mc._indices_from_uniform(cdfs, u), searchsorted_indices(cdfs, u, coords))
+        picked = [2, 5, 9, 3, 1]  # columns of one law apart, runs of two, out of order
+        got = mc._indices_from_uniform(cdfs, u[:, :5], coords=picked)
+        assert np.array_equal(got, searchsorted_indices(cdfs, u[:, :5], picked))
+
+    @pytest.mark.parametrize("switch", [0, 2, 1 << 20])
+    def test_switch_cannot_change_a_result(self, monkeypatch, switch):
+        space = jv.build_space(MIXED_LAWS)
+        cdfs, u = mc._cdfs(space), mc._uniform_block(4, mc.TAG_OUTCOME, 0, 3000, space.n)
+        whole = mc._indices_from_uniform(cdfs, u)
+        monkeypatch.setattr(mc, "_COUNT_SUPPORT", switch)
+        assert np.array_equal(mc._indices_from_uniform(cdfs, u), whole)
 
 
 class TestConfig:
@@ -439,6 +501,64 @@ class TestSubsetPlan:
         assert len(unranked) == (2 if sampled else 0)
 
 
+@pytest.fixture
+def evaluated(monkeypatch):
+    """Rows of every Statistic.on_indices call during the test."""
+    rows = []
+    on_indices = jv.Statistic.on_indices
+    monkeypatch.setattr(jv.Statistic, "on_indices", lambda *a: rows.append(len(a[2])) or on_indices(*a))
+    return rows
+
+
+class TestSharedEvaluations:
+    """The enumerated plan evaluates S once per replaced set J, not once per (subset, J)."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_differences_match_the_per_subset_oracle(self, kind):
+        stat, n, rows = KINDS[kind], IID.n, 200
+        rng = np.random.default_rng(9)
+        base, repl = rng.integers(0, 3, (rows, n)), rng.integers(0, 3, (rows, n))
+        for k in range(1, n + 1):
+            shared = mc._enumerated_differences(IID, stat, base, repl, k)
+            subsets = list(itertools.combinations(range(n), k))
+            assert len(shared) == len(subsets)
+            for d, subset in zip(shared, subsets):
+                positions = np.broadcast_to(np.asarray(subset), (rows, k))
+                assert np.array_equal(d, mc._alternating_eval(IID, stat, base, repl, positions)), (k, subset)
+
+    @pytest.mark.parametrize("n, k", [(10, 1), (10, 2), (10, 3), (40, 1), (40, 2)])
+    @pytest.mark.parametrize("family", ["ej", "ek"])
+    def test_counted_evaluations_per_row(self, evaluated, family, n, k):
+        space, samples = jv.build_space([LAW] * n), 30
+        estimate = {"ej": jv.estimate_iterated_jackknife, "ek": jv.estimate_projected_jackknife}[family]
+        estimate(space, jv.Statistic.coordinate_max(), k, jv.McConfig(seed=4, outer_samples=samples))
+        per_row = mc.evaluations_per_row(space, family, k)
+        assert sum(evaluated) == samples * per_row
+        completions = {"ej": 1, "ek": 2}[family]
+        if math.comb(n, k) <= mc.ENUMERATE_SUBSET_LIMIT:
+            assert per_row == completions * sum(math.comb(n, j) for j in range(k + 1))
+        else:
+            assert per_row == completions << k
+
+    def test_counted_evaluations_of_the_other_estimators(self, evaluated):
+        cfg, stat = jv.McConfig(seed=4, outer_samples=30), KINDS["poly"]
+        for family, k, estimate in [
+            ("var", 0, lambda: jv.estimate_variance(IID, stat, cfg)),
+            ("bias", 0, lambda: jv.efron_stein_bias(IID, stat, cfg)),
+            ("diff", 3, lambda: jv.estimate_difference_moment(IID, stat, [1, 2, 4], cfg)),
+        ]:
+            evaluated.clear()
+            estimate()
+            assert sum(evaluated) == 30 * mc.evaluations_per_row(IID, family, k)
+        assert [mc.evaluations_per_row(IID, f, 3) for f in ("var", "bias", "diff")] == [2, 6, 8]
+
+    def test_counts_refuse_what_the_estimators_refuse(self):
+        with pytest.raises(jv.ModelError, match="out of range"):
+            mc.evaluations_per_row(IID, "ej", 5)
+        with pytest.raises(jv.ModelError, match="rank range"):
+            mc.evaluations_per_row(jv.build_space([RAD] * 70), "ek", 35)
+
+
 def pinned_poly(n):
     """x1 x2 - 0.5 x2^2 x3 x4 ... xn: interactions of every order up to n - 1."""
     return jv.Statistic.polynomial([(1.0, (1, 1) + (0,) * (n - 2)), (-0.5, (0, 2, 1) + (1,) * (n - 3))])
@@ -484,3 +604,38 @@ class TestPinnedEstimates:
         for side in ("lower_j", "lower_jk", "upper_jk", "upper_j"):
             got[f"bracket1.{side}"] = getattr(bracket, side)
         assert {name: (e.mean.hex(), e.std_error.hex()) for name, e in got.items()} == self.PINNED
+
+    # laws of several support sizes: a zero-probability atom, a CDF ending
+    # below 1.0, a support past the inverse CDF's switch, a point mass, and
+    # one law on coordinates that are not adjacent
+    MIXED_SMALL = jv.build_space(MIXED_LAWS)
+    MIXED_WIDE = jv.build_space(MIXED_LAWS + [ATOM, BROAD, RAD])
+    MIXED_CFG = jv.McConfig(seed=82, outer_samples=2000)
+    PINNED_MIXED = {
+        "ej2-enumerated": ("0x1.4b39b617d3707p+3", "0x1.188e1e369c923p-1"),
+        "ek2-enumerated": ("0x1.088996ad3d3bep+2", "0x1.2b203a0399801p-1"),
+        "ej3-sampled": ("0x1.81ab88bd1bccfp+8", "0x1.b422608cda7eap+6"),
+        "ek3-sampled": ("0x1.d5bb6f3dc9d5cp+7", "0x1.bb05ee32809e4p+7"),
+        "var": ("0x1.895fd76f6de14p+1", "0x1.f21df4bb2d696p-4"),
+        "diff235": ("0x1.228ca58e7f86dp+1", "0x1.e0f1214d386d3p-3"),
+        "bracket1.lower_j": ("0x1.ac0369b612f1cp+0", "0x1.8aa964d319abbp-2"),
+        "bracket1.lower_jk": ("0x1.38750a4fdeb63p+1", "0x1.f1db523e52dbap-2"),
+        "bracket1.upper_jk": ("0x1.31f5c52eb98efp+2", "0x1.98127ea5a4393p-2"),
+        "bracket1.upper_j": ("0x1.b63a9085582cep+2", "0x1.1592a3544587ep-2"),
+    }
+
+    def test_bit_identical_on_mixed_laws(self):
+        small, wide, cfg = self.MIXED_SMALL, self.MIXED_WIDE, self.MIXED_CFG
+        s6, s9 = pinned_poly(6), pinned_poly(9)
+        got = {
+            "ej2-enumerated": jv.estimate_iterated_jackknife(small, s6, 2, cfg),
+            "ek2-enumerated": jv.estimate_projected_jackknife(small, s6, 2, cfg),
+            "ej3-sampled": jv.estimate_iterated_jackknife(wide, s9, 3, cfg),
+            "ek3-sampled": jv.estimate_projected_jackknife(wide, s9, 3, cfg),
+            "var": jv.estimate_variance(small, s6, cfg),
+            "diff235": jv.estimate_difference_moment(small, s6, [2, 3, 5], cfg),
+        }
+        bracket = jv.estimate_bracket(small, s6, 1, cfg)
+        for side in ("lower_j", "lower_jk", "upper_jk", "upper_j"):
+            got[f"bracket1.{side}"] = getattr(bracket, side)
+        assert {name: (e.mean.hex(), e.std_error.hex()) for name, e in got.items()} == self.PINNED_MIXED

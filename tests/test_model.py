@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import jackvar as jv
 from jackvar import bounds, mc
-from jackvar.model import DEFAULT_OUTCOME_CAP, GridSizeError
+from jackvar.model import DEFAULT_OUTCOME_CAP, GridSizeError, as_index_set
 
 from bruteforce import BruteSpace, mean as brute_mean, statistic_at, variance as brute_variance
 
@@ -372,6 +372,11 @@ class TestIntegerInputs:
         ("IndexSet-bool", "coordinate index", lambda: jv.IndexSet([True])),
         ("iterated_variance-order", "coordinate index",
          lambda: jv.iterated_variance(jv.CondExpCache(jv.tabulate(PROD, RAD2)), [1.9])),
+        ("iterated_variance-scalar", "coordinate index",
+         lambda: jv.iterated_variance(jv.CondExpCache(jv.tabulate(PROD, RAD2)), 2.0)),
+        ("cond_expect-numpy-bool", "coordinate index",
+         lambda: jv.CondExpCache(jv.tabulate(PROD, RAD2)).cond_expect(np.True_)),
+        ("difference-moment-scalar", "coordinate index", lambda: jv.estimate_difference_moment(RAD2, PROD, 1.0, CFG)),
         ("polynomial-float", "poly exponent", lambda: jv.Statistic.polynomial([(1.0, (1.7, 0))])),
         ("polynomial-bool", "poly exponent", lambda: jv.Statistic.polynomial([(1.0, (True, 0))])),
         ("total-k", "order k", lambda: jv.estimate_iterated_jackknife(RAD2, PROD, 1.5, CFG)),
@@ -394,3 +399,12 @@ class TestIntegerInputs:
                               jv.iterated_variance(cache, [2, 1]).array)
         k = np.int16(2)
         assert jv.estimate_iterated_jackknife(RAD2, PROD, k, CFG) == jv.estimate_iterated_jackknife(RAD2, PROD, 2, CFG)
+
+    def test_numpy_integer_is_a_one_coordinate_set(self):
+        # each raised "TypeError: 'numpy.int64' object is not iterable"
+        two = np.int64(2)
+        assert as_index_set(two) == jv.IndexSet([2])
+        cache = jv.CondExpCache(jv.tabulate(PROD, RAD2))
+        assert np.array_equal(cache.cond_expect(two).array, cache.cond_expect(2).array)
+        assert np.array_equal(jv.iterated_variance(cache, two).array, jv.iterated_variance(cache, 2).array)
+        assert jv.estimate_difference_moment(RAD2, PROD, two, CFG) == jv.estimate_difference_moment(RAD2, PROD, 2, CFG)
