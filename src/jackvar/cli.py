@@ -262,7 +262,7 @@ def parse_config(raw: dict) -> InstanceConfig:
 def _mc_orders(cfg: InstanceConfig) -> tuple:
     """The MC orders and bracket depths a run reports: the config's, or every valid one."""
     n = cfg.space.n
-    ks = cfg.ks or range(1, n + 1)
+    ks = cfg.ks if cfg.ks is not None else range(1, n + 1)
     return ks, cfg.p_values if cfg.p_values is not None else range(1, n // 2 + 1)
 
 
@@ -369,7 +369,9 @@ def cmd_run(args) -> int:
         and isinstance(raw, dict)
         and raw.get("engine", "exact") in ("mc", "both")
     ):
-        raw.setdefault("mc", {})["seed"] = args.seed
+        mc_raw = raw.setdefault("mc", {})
+        if isinstance(mc_raw, dict):  # parse_config refuses any other section
+            mc_raw["seed"] = args.seed
     try:
         cfg = parse_config(raw)
     except ConfigError as e:

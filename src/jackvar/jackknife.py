@@ -142,15 +142,21 @@ def classical_jackknife(values) -> float:
     sum_{i<j} (v_i - v_j)^2 / m (m = number of values).  Every call checks
     the numpy sum against a two-pass `math.fsum` evaluation (correctly
     rounded mean, then correctly rounded sum of squares); disagreement
-    beyond 1e-12 relative raises ConsistencyError.  Time and memory are
-    O(m).  This is a pure data-side statistic: it never touches a product
-    space.
+    beyond 1e-12 relative raises ConsistencyError.  A non-finite value, or
+    a sum that leaves the float range, raises ModelError.  Time and memory
+    are O(m).  This is a pure data-side statistic: it never touches a
+    product space.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size < 2:
         raise ModelError("classical jackknife needs a flat list of at least 2 values")
-    centered = v - v.mean()
-    total = float(np.sum(centered * centered))
+    if not np.isfinite(v).all():
+        raise ModelError(f"classical jackknife: value {v[~np.isfinite(v)][0]} is not finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        centered = v - v.mean()
+        total = float(np.sum(centered * centered))
+    if not math.isfinite(total):
+        raise ModelError(f"classical jackknife: the centered sum of squares {total} leaves the float range")
     mean = math.fsum(v.tolist()) / v.size
     two_pass = math.fsum(((v - mean) ** 2).tolist())
     if abs(total - two_pass) > 1e-12 * max(1.0, abs(total), abs(two_pass)):

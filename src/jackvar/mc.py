@@ -28,14 +28,14 @@ function from a block of uniform rows to one contribution per row.
 `_contributions` draws the rows BLOCK_ROWS at a time with `_uniform_block`,
 maps each block and concatenates; `_estimate_from` reduces once.  Within a
 block the layers are: uniforms, inverse CDF (`_indices_from_uniform`),
-statistic evaluation (`Statistic.on_indices`, the only way S is
-evaluated) and the per-row contribution.  Memory is bounded by one block
-of uniforms, indices and statistic values, plus at most
-ENUMERATE_SUBSET_LIMIT = 64 running differences of one block column per
-completion in an enumerated moment, plus 8 bytes per sample.  BLOCK_ROWS
-is a constant, not an option, because no partition changes a result;
-that holds because every step is row-local (`Statistic.on_indices` uses
-no BLAS product, whose rounding depends on the block shape).
+statistic evaluation (`Statistic.on_indices`, the only way S is evaluated,
+on index rows mixed only by `_replaced`) and the per-row contribution.
+Memory is bounded by one block of uniforms, indices and statistic values,
+plus at most ENUMERATE_SUBSET_LIMIT = 64 running differences of one block
+column per completion in an enumerated moment, plus 8 bytes per sample.
+BLOCK_ROWS is a constant, not an option, because no partition changes a
+result; that holds because every step is row-local (`Statistic.on_indices`
+uses no BLAS product, whose rounding depends on the block shape).
 
 The block generator
 -------------------
@@ -61,13 +61,15 @@ samples one, weighted by C(n,k); nothing else picks the plan.  Enumerating
 removes the subset-choice variance at C(n,k) terms per row, which 64 caps:
 n = 10 enumerates orders 1 and 2 (10 and 45 subsets) and samples order 3.
 
-The statistic evaluations per sample row are `evaluations_per_row`.  A
-sampled subset costs 2^k per completion: one per replaced set J of its
-alternating difference.  An enumerated row shares them: S(x with J
-replaced) is the same for every subset containing J, so it is evaluated
-once per J, sum_{j<=k} C(n, j) times per completion (56 in place of 180
-for order 2 at n = 10), and added into each subset's difference in the
-order that keeps every estimate bit-identical to the per-subset sums.
+The moments and the bias are built from one object, S with a coordinate
+set J taken from independent copies; `_replaced` is its one evaluator.
+`_differences` forms the alternating differences D_I = sum_{J in I}
+(-1)^|J| S(x with J replaced) of every plan (each k-subset of the n
+positions, one sampled k-subset per row, a difference moment's set): it
+evaluates S once per J of at most k positions, in increasing bitmask
+order, and adds it into each D_I containing J, in the order of I's own
+bits.  So an enumerated row costs sum_{j<=k} C(n, j) evaluations per
+completion (56 in place of 180 for order 2 at n = 10) and one subset 2^k.
 
 Order-k total moment: draw the coordinates and one independent copy per
 coordinate; the term is k! * D^2 / 2^k, D the alternating replace-on-subset
@@ -90,10 +92,8 @@ Brackets combine per-order estimates with the coefficients of
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,54 +277,53 @@ def _contributions(space, statistic, cfg, tag, width, contribute, start=0, count
     return out
 
 
-def _alternating_eval(space, statistic, base_idx, repl_idx, positions) -> np.ndarray:
-    """sum_{J subset of row's position set} (-1)^|J| S(base with J columns replaced).
+def _replaced(space, statistic, base, repl, positions, masks):
+    """(J, S(base with the positions in J taken from repl)) for each bitmask J of masks.
 
-    positions: (N, k) 0-based coordinate columns, possibly different per row.
-    2^k evaluations of S per row; J runs through the local bitmasks `bits`.
+    Bit t of J stands for positions[..., t]: one (width,) column list shared
+    by every row, or one (rows, width) list per row.  This is the only
+    place an estimator mixes two index blocks.
     """
-    count, k = positions.shape
-    rows = np.arange(count)[:, None]
-    total = np.zeros(count)
-    for bits in range(1 << k):
-        chosen = positions[:, [t for t in range(k) if bits >> t & 1]]
-        mix = base_idx.copy()
-        if chosen.shape[1]:
-            mix[rows, chosen] = repl_idx[rows, chosen]
-        sign = -1.0 if bin(bits).count("1") % 2 else 1.0
-        total += sign * statistic.on_indices(space, mix)
-    return total
+    positions = np.asarray(positions)
+    rows = np.arange(base.shape[0])[:, None] if positions.ndim == 2 else slice(None)
+    for mask in masks:
+        chosen = positions[..., [t for t in range(positions.shape[-1]) if mask >> t & 1]]
+        mix = base.copy()
+        mix[rows, chosen] = repl[rows, chosen]
+        yield mask, statistic.on_indices(space, mix)
 
 
-def _enumerated_differences(space, statistic, base_idx, repl_idx, k) -> list[np.ndarray]:
-    """`_alternating_eval` on every k-subset, in itertools.combinations order.
+def _masks(width: int, k: int):
+    """Bitmasks below 2^width with at most k bits set, increasing, lazily.
 
-    S(base with J replaced) is one array for every subset I that contains
-    J, so it is evaluated once per replaced set J, sum_{j<=k} C(n, j) times
-    a row, and added into each such D_I.  Each subset lists its replaced
-    sets as global bitmasks in increasing order, and a lazy merge of those
-    lists visits every J in increasing global order; restricted to one I
-    that is the order of its local `bits`, so each D_I receives exactly the
-    additions of `_alternating_eval`, in the same order.  Beyond the block
-    this holds one running D_I per subset, never a table of all J.
+    A mask with too many bits skips past every mask sharing its bits above
+    its lowest set bit, all of which have as many.
     """
-    subsets = list(itertools.combinations(range(base_idx.shape[1]), k))
-    diffs = [np.zeros(base_idx.shape[0]) for _ in subsets]
+    mask = 0
+    while mask < 1 << width:
+        if mask.bit_count() <= k:
+            yield mask
+            mask += 1
+        else:
+            mask += mask & -mask
 
-    def replaced_sets(which, subset):
-        for bits in range(1 << k):
-            chosen = [c for t, c in enumerate(subset) if bits >> t & 1]
-            yield sum(1 << c for c in chosen), which, chosen
 
-    merged = heapq.merge(*(replaced_sets(which, subset) for which, subset in enumerate(subsets)))
-    for _, sharing in itertools.groupby(merged, key=operator.itemgetter(0)):
-        sharing = list(sharing)
-        chosen = sharing[0][2]
-        mix = base_idx.copy()
-        mix[:, chosen] = repl_idx[:, chosen]
-        term = (-1.0 if len(chosen) % 2 else 1.0) * statistic.on_indices(space, mix)
-        for _, which, _ in sharing:
-            diffs[which] += term
+def _differences(space, statistic, base, repl, positions, k, subsets) -> list[np.ndarray]:
+    """D_I = sum_{J subset of I} (-1)^|J| S(base with J taken from repl) for each I of subsets.
+
+    subsets are k-bit masks over `positions` (as in `_replaced`).  Each J of
+    at most k bits is evaluated once, in increasing order, and added into
+    every D_I containing it (only itself if it has k bits), so each D_I
+    gets its 2^k terms in the order of its own bits.
+    """
+    diffs = [np.zeros(base.shape[0]) for _ in subsets]
+    where = {mask: w for w, mask in enumerate(subsets)}
+    width = np.shape(positions)[-1]
+    for J, value in _replaced(space, statistic, base, repl, positions, _masks(width, k)):
+        term = -value if J.bit_count() % 2 else value
+        targets = [where[J]] if J in where else [w for w, mask in enumerate(subsets) if mask & J == J]
+        for w in targets:
+            diffs[w] += term
     return diffs
 
 
@@ -357,21 +356,22 @@ def _over_subsets(space, statistic, k: int, rank_u: np.ndarray, completions, wei
     completions holds one (base, repl) pair of index blocks, whose
     alternating difference D_I is squared, or two, whose D_I are
     multiplied.  Up to ENUMERATE_SUBSET_LIMIT subsets all are enumerated
-    (`_enumerated_differences`) and the products summed in
-    itertools.combinations order; past it a row takes the subset of
-    lexicographic rank floor(rank_u * C(n,k)), weighted by C(n,k).
+    and the products summed in itertools.combinations order; past it a row
+    takes the subset of lexicographic rank floor(rank_u * C(n,k)), weighted
+    by C(n,k).
     """
     n = space.n
     n_subsets = math.comb(n, k)
     if n_subsets <= ENUMERATE_SUBSET_LIMIT:
-        diffs = [_enumerated_differences(space, statistic, base, repl, k) for base, repl in completions]
+        subsets = [sum(1 << c for c in s) for s in itertools.combinations(range(n), k)]
+        diffs = [_differences(space, statistic, base, repl, np.arange(n), k, subsets) for base, repl in completions]
         total = np.zeros(rank_u.shape[0])
         for d in zip(*diffs):
             total += d[0] * d[-1]
         return weight * total
     ranks = np.minimum((rank_u * n_subsets).astype(np.int64), n_subsets - 1)
     positions = _unrank_combinations(ranks, n, k)
-    d = [_alternating_eval(space, statistic, base, repl, positions) for base, repl in completions]
+    d = [_differences(space, statistic, base, repl, positions, k, [(1 << k) - 1])[0] for base, repl in completions]
     return (weight * n_subsets) * (d[0] * d[-1])
 
 
@@ -392,10 +392,11 @@ def evaluations_per_row(space: ProductSpace, family: str, k: int = 0) -> int:
 
     family is "ej" or "ek" for the total or projected moment of order k,
     "diff" for the difference moment of a k-coordinate set, "var" or
-    "bias".  An enumerated order evaluates S once per replaced set
-    (`_enumerated_differences`), a sampled one 2^k times, and a projected
-    moment does either for each of its two completions.  An order the
-    moment estimators refuse raises here as it does there.
+    "bias".  A moment evaluates S once per replaced set of at most k of its
+    `width` positions (`_differences`): all n for an enumerated order, the
+    k sampled or given ones otherwise; a projected moment does so for each
+    of its two completions.  An order the moment estimators refuse raises
+    here as it does there.
     """
     n = space.n
     if family == "var":
@@ -403,12 +404,12 @@ def evaluations_per_row(space: ProductSpace, family: str, k: int = 0) -> int:
     if family == "bias":
         return n + 2
     if family == "diff":
-        return 1 << k
-    completions = {"ej": 1, "ek": 2}[family]
-    k, _ = _check_k(space, k)
-    if math.comb(n, k) <= ENUMERATE_SUBSET_LIMIT:
-        return completions * sum(math.comb(n, j) for j in range(k + 1))
-    return completions << k
+        completions, width = 1, k
+    else:
+        completions = {"ej": 1, "ek": 2}[family]
+        k, _ = _check_k(space, k)
+        width = n if math.comb(n, k) <= ENUMERATE_SUBSET_LIMIT else k
+    return completions * sum(math.comb(width, j) for j in range(k + 1))
 
 
 def _estimate_from(contribs: np.ndarray, flag_negative: bool = False) -> McEstimate:
@@ -493,10 +494,9 @@ def estimate_difference_moment(
 
     def contribute(cdfs, u):
         x = _indices_from_uniform(cdfs, u[:, :n])
-        repl = x.copy()
+        repl = np.zeros_like(x)  # the fresh copies; `_replaced` reads only their columns
         repl[:, cols] = _indices_from_uniform(cdfs, u[:, n:], coords=iset.indices)
-        pos = np.broadcast_to(np.asarray(cols), (u.shape[0], len(cols)))
-        d = _alternating_eval(space, statistic, x, repl, pos)
+        (d,) = _differences(space, statistic, x, repl, cols, len(cols), [(1 << len(cols)) - 1])
         return d * d
 
     return _estimate_from(
@@ -551,13 +551,10 @@ def efron_stein_bias(space: ProductSpace, statistic: Statistic, cfg: McConfig) -
         x = _indices_from_uniform(cdfs, u[:, :n])
         copy = _indices_from_uniform(cdfs, u[:, n : n + 1], coords=[1])
         x2 = _indices_from_uniform(cdfs, u[:, n + 1 :])
-        base_vals = statistic.on_indices(space, x)
-        resampled = np.empty((u.shape[0], n + 1))
-        for i in range(n):
-            mix = x.copy()
-            mix[:, i] = copy[:, 0]
-            resampled[:, i] = statistic.on_indices(space, mix)
-        resampled[:, n] = base_vals
+        masks = [1 << i for i in range(n)] + [0]  # the n leave-one-in values, then the base value
+        replaced = _replaced(space, statistic, x, np.broadcast_to(copy, x.shape), np.arange(n), masks)
+        resampled = np.column_stack([value for _, value in replaced])
+        base_vals = resampled[:, n]
         centered = resampled - resampled.mean(axis=1, keepdims=True)
         leave_one_spread = (centered * centered).sum(axis=1)
         half_sq = 0.5 * (base_vals - statistic.on_indices(space, x2)) ** 2

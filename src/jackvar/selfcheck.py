@@ -70,14 +70,12 @@ def random_instance(rng: np.random.Generator):
 
 
 def instance_config(space, statistic) -> dict:
-    """Replay-ready CLI config for one instance."""
+    """Replay-ready CLI config for one `table` instance, the kind `random_instance` draws."""
     return {
         "distributions": [
             {"support": list(d.support), "probs": list(d.probs)} for d in space.dists
         ],
-        "statistic": {"kind": statistic.kind, "params": {"values": list(statistic.params)}}
-        if statistic.kind == "table"
-        else {"kind": statistic.kind, "params": {}},
+        "statistic": {"kind": statistic.kind, "params": {"values": list(statistic.params)}},
         "engine": "exact",
     }
 

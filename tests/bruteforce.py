@@ -4,10 +4,17 @@ Everything here is deliberately primitive: plain Python floats, dict-based
 tables, nested loops over explicitly enumerated outcomes.  No numpy, no code
 shared with the library.  Used by the test suite as the reference for every
 exact quantity, and runnable as a script to print the fixture values.
+
+The one exception is `alternating_eval`, the reference for the Monte Carlo
+engine's alternating differences: it must match them bit for bit on index
+blocks, so it takes numpy blocks and evaluates S through the library's
+`Statistic.on_indices`, but sums each subset's 2^k terms on its own.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 
 def outcome_indices(shape):
@@ -196,6 +203,25 @@ def unrank_combination(rank, n, k):
         out.append(c)
         c += 1
     return tuple(out)
+
+
+def alternating_eval(space, statistic, base_idx, repl_idx, positions):
+    """sum_{J subset of row's position set} (-1)^|J| S(base with J columns replaced).
+
+    positions: (N, k) 0-based coordinate columns, possibly different per row.
+    2^k evaluations of S per row; J runs through the local bitmasks `bits`.
+    """
+    count, k = positions.shape
+    rows = np.arange(count)[:, None]
+    total = np.zeros(count)
+    for bits in range(1 << k):
+        chosen = positions[:, [t for t in range(k) if bits >> t & 1]]
+        mix = base_idx.copy()
+        if chosen.shape[1]:
+            mix[rows, chosen] = repl_idx[rows, chosen]
+        sign = -1.0 if bin(bits).count("1") % 2 else 1.0
+        total += sign * statistic.on_indices(space, mix)
+    return total
 
 
 def classical_jackknife(values):

@@ -189,6 +189,15 @@ class TestConfigErrors:
         assert cli.main(["run", write_config(tmp_path, doc)]) == 1
         assert "mc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", [5, None, [1]], ids=["int", "null", "array"])
+    @pytest.mark.parametrize("flags", [["--engine", "mc"], []], ids=["engine-flag", "engine-field"])
+    def test_seed_flag_on_a_non_object_mc_section(self, tmp_path, capsys, section, flags):
+        doc = dict(RAD2_PROD_CONFIG, engine="mc", mc=section)
+        assert cli.main(["run", write_config(tmp_path, doc), *flags, "--seed", "3"]) == 1
+        err = capsys.readouterr().err
+        assert "mc: section required when engine includes mc" in err
+        assert "Traceback" not in err
+
     def test_mc_section_without_engine(self, tmp_path, capsys):
         doc = dict(RAD2_PROD_CONFIG)
         doc["mc"] = {"seed": 1, "outer_samples": 100}
@@ -524,6 +533,17 @@ class TestMcCostRule:
         assert cli.main(["run", write_config(tmp_path, doc)]) == 0
         monkeypatch.setattr(cli, "MC_EVALUATION_LIMIT", 100 * per_row - 1)
         assert cli.main(["run", write_config(tmp_path, doc)]) == 1
+
+    def test_no_orders_report_and_count_none(self, monkeypatch, tmp_path, capsys):
+        # ks [] and p_values [] ask for the variance alone, as p_values [] asks for no bracket
+        doc = _binary(3, {"ks": []}, [], tmp_path)
+        doc["statistic"] = {"kind": "max", "params": {}}
+        assert cli.main(["run", write_config(tmp_path, doc)]) == 0
+        report = json.loads((tmp_path / "out.json").read_text())["mc"]
+        assert (report["ej"], report["ek"], report["brackets"]) == ({}, {}, [])
+        monkeypatch.setattr(cli, "MC_EVALUATION_LIMIT", 0)
+        assert cli.main(["run", write_config(tmp_path, doc)]) == 1
+        assert "(100 samples x 2 per row)" in capsys.readouterr().err
 
     def test_bracket_orders_are_counted(self, monkeypatch, tmp_path, capsys):
         # ks [1] alone, but bracket p = 1 also estimates ej 2, ek 2 and ek 3

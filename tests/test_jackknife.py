@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +231,19 @@ class TestClassicalJackknife:
     def test_too_short(self):
         with pytest.raises(jv.ModelError):
             jv.classical_jackknife([1.0])
+
+    @pytest.mark.parametrize("values, message", [
+        ([1.0, math.nan], "value nan is not finite"),
+        ([1.0, math.inf], "value inf is not finite"),
+        ([-math.inf, 1.0, math.inf], "value -inf is not finite"),
+        ([1e308, -1e308, 1e308], "centered sum of squares inf leaves the float range"),
+        ([1e308, 1e308, -1e308], "centered sum of squares inf leaves"),  # before fsum overflows
+    ])
+    def test_non_finite_is_refused(self, values, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the refusal is the only signal
+            with pytest.raises(jv.ModelError, match=message):
+                jv.classical_jackknife(values)
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=30))
     def test_pairwise_identity(self, values):

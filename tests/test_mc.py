@@ -8,7 +8,7 @@ import pytest
 import jackvar as jv
 from jackvar import mc
 
-from bruteforce import unrank_combination
+from bruteforce import alternating_eval, unrank_combination
 from conftest import random_iid_space, symmetric_table_statistic
 
 RAD = jv.DiscreteDistribution.rademacher()
@@ -519,12 +519,37 @@ class TestSharedEvaluations:
         rng = np.random.default_rng(9)
         base, repl = rng.integers(0, 3, (rows, n)), rng.integers(0, 3, (rows, n))
         for k in range(1, n + 1):
-            shared = mc._enumerated_differences(IID, stat, base, repl, k)
             subsets = list(itertools.combinations(range(n), k))
+            masks = [sum(1 << c for c in subset) for subset in subsets]
+            shared = mc._differences(IID, stat, base, repl, np.arange(n), k, masks)
             assert len(shared) == len(subsets)
             for d, subset in zip(shared, subsets):
                 positions = np.broadcast_to(np.asarray(subset), (rows, k))
-                assert np.array_equal(d, mc._alternating_eval(IID, stat, base, repl, positions)), (k, subset)
+                assert np.array_equal(d, alternating_eval(IID, stat, base, repl, positions)), (k, subset)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_per_row_positions_match_the_oracle(self, kind):
+        # the sampled plan: one sorted k-subset of columns per row, one full mask
+        stat, n, rows = KINDS[kind], IID.n, 200
+        rng = np.random.default_rng(10)
+        base, repl = rng.integers(0, 3, (rows, n)), rng.integers(0, 3, (rows, n))
+        for k in range(1, n + 1):
+            positions = np.sort(rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)[:, :k], axis=1)
+            (d,) = mc._differences(IID, stat, base, repl, positions, k, [(1 << k) - 1])
+            want = alternating_eval(IID, stat, base, repl, positions)
+            assert d.tobytes() == want.tobytes(), k
+
+    @pytest.mark.parametrize("width", range(13))
+    def test_mask_walk_lists_every_small_mask_in_order(self, width):
+        for k in range(width + 1):
+            want = [m for m in range(1 << width) if m.bit_count() <= k]
+            assert list(mc._masks(width, k)) == want, k
+
+    def test_mask_walk_is_lazy(self):
+        walk = mc._masks(64, 1)
+        assert list(itertools.islice(walk, 3)) == [0, 1, 2]
+        assert list(walk) == [1 << t for t in range(2, 64)]
+        assert list(itertools.islice(mc._masks(64, 2), 4)) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("n, k", [(10, 1), (10, 2), (10, 3), (40, 1), (40, 2)])
     @pytest.mark.parametrize("family", ["ej", "ek"])
