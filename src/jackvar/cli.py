@@ -215,9 +215,13 @@ def parse_config(raw: dict) -> InstanceConfig:
             )
         except ModelError as e:
             raise ConfigError(f"mc: {e}") from e
+        seen = set()
         for k in ks or ():
             if not 1 <= k <= space.n:
                 raise ConfigError(f"mc.ks: order {k} out of range 1..{space.n}")
+            if k in seen:
+                raise ConfigError(f"mc.ks: order {k} is repeated")
+            seen.add(k)
     elif "mc" in raw:
         raise ConfigError("mc: section present but engine does not include mc")
 
@@ -231,11 +235,15 @@ def parse_config(raw: dict) -> InstanceConfig:
         if not isinstance(pv, list):
             raise ConfigError('bounds.p_values: expected "all" or an array of integers')
         pv = [_integer(p, "bounds.p_values") for p in pv]
+        seen = set()
         for p in pv:
             if not 1 <= p <= space.n // 2:
                 raise ConfigError(
                     f"bounds.p_values: p={p} out of range 1..{space.n // 2}"
                 )
+            if p in seen:
+                raise ConfigError(f"bounds.p_values: p={p} is repeated")
+            seen.add(p)
         p_values = pv
 
     out_raw = raw.get("output", {})
@@ -246,6 +254,8 @@ def parse_config(raw: dict) -> InstanceConfig:
     if out_format not in FORMATS:
         raise ConfigError(f"output.format: expected one of {FORMATS}, got {out_format!r}")
     out_path = out_raw.get("path", "report")
+    if not isinstance(out_path, str) or not out_path:
+        raise ConfigError("output.path: expected a non-empty string")
 
     return InstanceConfig(
         space=space,
@@ -255,7 +265,7 @@ def parse_config(raw: dict) -> InstanceConfig:
         ks=ks,
         p_values=p_values,
         out_format=out_format,
-        out_path=str(out_path),
+        out_path=out_path,
     )
 
 

@@ -11,8 +11,9 @@ components are pairwise orthogonal, so the variance splits by degree:
     Var S = sum_d Var f_d,   Var f_d = sum_{|I|=d} E h_I^2.
 
 The subset masses E h_I^2 are the one exact path of the library:
-`subset_masses` gets all 2^n of them from one orthonormal change of basis
-per axis, without building any component table.  The degree spectrum is
+`subset_masses` gets all 2^n of them from one closed-form orthonormal
+matrix per axis (no QR, no centring pass, no component table), applied as
+a stacked product that keeps BLAS on one thread.  The degree spectrum is
 their sum by degree, and every jackknife moment is a linear image of the
 spectrum (Hoeffding 1948; Efron & Stein 1981):
 
@@ -37,36 +38,35 @@ from typing import Mapping
 
 import numpy as np
 
-from .conditional import CondExpCache, axis_mean
+from .conditional import CondExpCache
 from .model import FieldTable, IndexSet, ModelError, ProductSpace, as_index_set
 
 
 def subset_masses(space: ProductSpace, arr) -> np.ndarray:
-    """E h_I^2 for every coordinate subset I, indexed by bitmask.
+    """E h_I^2 for every coordinate subset I, indexed by bitmask (bit c-1 marks c).
 
-    Bit c-1 of the index marks coordinate c.  Entry 0 is (E S)^2; the
-    other entries sum to Var S.  Each axis is expanded in an orthonormal
-    basis of L2(p_c): the constant coefficient is the axis mean and the
-    m_c - 1 others project the centred residual onto an orthonormal
-    completion of sqrt(p_c).  Squaring every coefficient and folding each
-    axis into {constant, non-constant} leaves the 2^n masses, even when
-    every coordinate has one point, so max(outcomes, 2^n) values are checked.
+    Entry 0 is (E S)^2; the others sum to Var S.  Axis c takes one matrix:
+    row 0 is p_c (the axis mean), rows 1.. are sqrt(p_c) times columns 2..m_c
+    of the reflection I - v v^T/v_0, v = sqrt(p_c) + e_1 (v_0 >= 1), which
+    maps e_1 to -sqrt(p_c).  Those rows vanish on constants: nothing is centred.
+    A stacked product over the moved axis applies it on one BLAS thread.  The
+    squares, folded per axis into {constant, rest}, are the 2^n masses.
     """
     space.check_grid("the subset masses", max(space.n_outcomes, 1 << space.n))
     coeffs = np.asarray(arr, dtype=np.float64)
-    for c in range(1, space.n + 1):
-        axis = c - 1
-        root = np.sqrt(space.axis_probs(c))
-        q, _ = np.linalg.qr(np.column_stack([root, np.eye(root.size)]))
-        basis = root[:, None] * q[:, 1:]
-        mean = axis_mean(space, coeffs, c)
-        resid = np.moveaxis(coeffs - mean, axis, -1) @ basis
-        coeffs = np.concatenate([mean, np.moveaxis(resid, -1, axis)], axis=axis)
-    sq = coeffs * coeffs
     for axis in range(space.n):
-        head, tail = np.split(sq, [1], axis=axis)
-        sq = np.concatenate([head, tail.sum(axis=axis, keepdims=True)], axis=axis)
-    return sq.ravel(order="F")
+        p = space.axis_probs(axis + 1)
+        v = np.sqrt(p)
+        v[0] += 1.0
+        basis = (np.eye(p.size) - np.outer(v, v) / v[0]) * np.sqrt(p)
+        basis[0] = p
+        # a stacked product over the moved axis runs on one BLAS thread; one big gemm uses all
+        coeffs = np.moveaxis(np.moveaxis(coeffs, axis, -1) @ basis.T, -1, axis)
+    coeffs *= coeffs
+    for axis in range(space.n):
+        head, tail = np.split(coeffs, [1], axis=axis)
+        coeffs = np.concatenate([head, tail.sum(axis=axis, keepdims=True)], axis=axis)
+    return coeffs.ravel(order="F")
 
 
 def _by_degree(masses: np.ndarray, n: int) -> tuple[float, ...]:

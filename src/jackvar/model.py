@@ -158,6 +158,9 @@ class IndexSet:
 
     @classmethod
     def from_mask(cls, mask: int) -> "IndexSet":
+        mask = as_integer("subset mask", mask)
+        if mask < 0:
+            raise ModelError(f"subset mask must be non-negative, got {mask}")
         out = []
         i = 1
         while mask:
@@ -301,6 +304,7 @@ class Statistic:
 
     Table values, weights, g values and coefficients must be finite; the
     constructor refuses NaN and infinities once, so no evaluation rechecks.
+    It refuses a repeated ustat2 support value, which the g map would drop.
     It also decodes the kind data once (the table as a float64 array, the
     ustat2 value-to-g map as a dict).
 
@@ -321,6 +325,11 @@ class Statistic:
         params = tuple(params)
         if kind == "ustat2":
             field, reals = "g", [g for _, g in params]
+            first = {}  # support value -> its first entry; 0.0 and -0.0 are one key
+            for i, (value, _) in enumerate(params):
+                j = first.setdefault(value, i)
+                if j != i:
+                    raise ModelError(f"params.g[{i}]: support value {value!r} repeats params.g[{j}]")
         elif kind == "poly":
             field, reals = "terms", [coef for coef, _ in params]
         else:  # table values or sum weights; max has no params

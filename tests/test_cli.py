@@ -222,6 +222,26 @@ class TestConfigErrors:
         assert cli.main(["run", write_config(tmp_path, doc)]) == 1
         assert "ks" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields, message", [
+        pytest.param(fields, message, id=name) for name, fields, message in [
+            ("path-null", {"output": {"path": None}}, "output.path: expected a non-empty string"),
+            ("path-array", {"output": {"path": ["x"]}}, "output.path: expected a non-empty string"),
+            ("path-empty", {"output": {"path": ""}}, "output.path: expected a non-empty string"),
+            ("p-repeated", {"bounds": {"p_values": [1, 1]}}, "bounds.p_values: p=1 is repeated"),
+            ("k-repeated", {"engine": "mc", "mc": {"seed": 1, "outer_samples": 100, "ks": [2, 1, 2]}},
+             "mc.ks: order 2 is repeated"),
+            ("g-repeated", {"distributions": [{"support": [0.0, 1.0], "probs": [0.5, 0.5]}] * 2,
+                            "statistic": {"kind": "ustat2", "params": {"g": [[0, 1], [1, 2], [1, 5]]}}},
+             "statistic: params.g[2]: support value 1.0 repeats params.g[1]"),
+        ]
+    ])
+    def test_refused_values(self, tmp_path, capsys, monkeypatch, fields, message):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", write_config(tmp_path, dict(RAD2_PROD_CONFIG, **fields))]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
+
     def test_exact_engine_n_cap(self, tmp_path, capsys):
         # one outcome, but 2^25 subset masses: the cap counts those too
         doc = dict(RAD2_PROD_CONFIG)

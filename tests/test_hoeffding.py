@@ -130,6 +130,9 @@ class TestSubsetMasses:
             jv.DiscreteDistribution.point_mass(0.25),
             jv.DiscreteDistribution([0.0, 1.0], [0.2, 0.8]),
             jv.DiscreteDistribution([-2.0, -1.0, 1.0, 3.0], [0.1, 0.4, 0.3, 0.2]),
+            jv.DiscreteDistribution([0.0, 1.0, 3.0], [0.0, 0.6, 0.4]),
+            jv.DiscreteDistribution(np.linspace(-2.0, 2.0, 9),
+                                    [0.05, 0.1, 0.15, 0.2, 0.1, 0.05, 0.15, 0.12, 0.08]),
         ]
         for _ in range(6):
             picks = rng.permutation(len(laws))[: int(rng.integers(1, 4))]
@@ -144,6 +147,21 @@ class TestSubsetMasses:
             for subset, h in comps.items():
                 want = bf.mean(bs, {idx: v * v for idx, v in h.items()})
                 assert masses[jv.IndexSet(subset).mask] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("offset", [1e3, 1e6])
+    def test_constant_offset_keeps_variance_masses(self, offset):
+        # nothing is centred before the change of basis: its rows 1.. must
+        # cancel a large mean on their own
+        space = jv.build_space([
+            jv.DiscreteDistribution(np.linspace(-2.0, 2.0, 9),
+                                    [0.05, 0.1, 0.15, 0.2, 0.1, 0.05, 0.15, 0.12, 0.08]),
+            jv.DiscreteDistribution([0.0, 1.0, 3.0], [0.0, 0.6, 0.4]),
+            jv.DiscreteDistribution([-2.0, -1.0, 1.0, 3.0], [0.1, 0.4, 0.3, 0.2]),
+        ])
+        values = np.random.Generator(np.random.Philox(key=131)).uniform(-1.0, 1.0, space.n_outcomes)
+        masses = jv.subset_masses(space, jv.tabulate(jv.Statistic.table(values), space).array)
+        shifted = jv.subset_masses(space, jv.tabulate(jv.Statistic.table(values + offset), space).array)
+        assert np.max(np.abs(shifted[1:] - masses[1:])) <= 1e-12 * max(1.0, shifted[0])
 
     def test_constant_has_no_variance_mass(self, rad2):
         table = jv.tabulate(jv.Statistic.table([1.5] * 4), rad2)

@@ -67,6 +67,11 @@ class TestIndexSet:
         with pytest.raises(jv.ModelError, match="out of range"):
             jv.IndexSet([4]).check_range(3)
 
+    def test_negative_mask_refused(self):
+        # shifting a negative mask right never reaches 0
+        with pytest.raises(jv.ModelError, match="^subset mask must be non-negative, got -1$"):
+            jv.IndexSet.from_mask(-1)
+
 
 class TestBuildSpace:
     def test_two_rademacher(self):
@@ -155,6 +160,15 @@ class TestTabulate:
     def test_ustat2_missing_entry(self, rad2):
         with pytest.raises(jv.ModelError, match="no entry"):
             jv.tabulate(jv.Statistic.pair_interaction({-1.0: 1.0}), rad2)
+
+    @pytest.mark.parametrize("g, message", [
+        ([(1.0, 2.0), (1.0, 5.0)], r"^params.g\[1\]: support value 1.0 repeats params.g\[0\]$"),
+        ([(0.0, 1.0), (1.0, 2.0), (-0.0, 5.0)], r"^params.g\[2\]: support value -0.0 repeats params.g\[0\]$"),
+    ], ids=["equal", "signed-zero"])
+    def test_ustat2_repeated_support_value(self, g, message):
+        # a dict keeps only the last g of a repeated value, and looks 0.0 and -0.0 up as one
+        with pytest.raises(jv.ModelError, match=message):
+            jv.Statistic.pair_interaction(g)
 
     def test_poly_bad_exponents(self, rad2):
         with pytest.raises(jv.ModelError, match="exponents"):
@@ -370,6 +384,7 @@ class TestIntegerInputs:
         ("McConfig-outer_samples", "outer_samples", lambda: jv.McConfig(seed=1, outer_samples=10.0)),
         ("IndexSet-float", "coordinate index", lambda: jv.IndexSet([1.7, 2])),
         ("IndexSet-bool", "coordinate index", lambda: jv.IndexSet([True])),
+        ("IndexSet.from_mask-float", "subset mask", lambda: jv.IndexSet.from_mask(2.5)),
         ("iterated_variance-order", "coordinate index",
          lambda: jv.iterated_variance(jv.CondExpCache(jv.tabulate(PROD, RAD2)), [1.9])),
         ("iterated_variance-scalar", "coordinate index",
