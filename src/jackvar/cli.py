@@ -6,8 +6,10 @@ Subcommands:
 
 `run` reads one strict JSON config, drives the exact and/or Monte Carlo
 engine, and writes a JSON report (and optionally a CSV bracket table).
-Exit codes: 0 success, 1 config/schema error, 2 identity-suite failure
-(selfcheck only).
+Each flag is checked as the config field it overrides: `--engine` as
+`engine`, `--seed` as `mc.seed` (on a run that includes mc), `--out` as
+`output.path`.  Exit codes: 0 success, 1 config, engine or write error
+(an output file that cannot be written), 2 identity-suite failure.
 
 Config schema (all fields except `distributions` and `statistic` optional):
 
@@ -15,8 +17,8 @@ Config schema (all fields except `distributions` and `statistic` optional):
   "distributions": [{"support": [..], "probs": [..]}, ...],
   "statistic": {"kind": "table|sum|max|ustat2|poly", "params": {...}},
   "engine": "exact" | "mc" | "both",            # default "exact"
-  "mc": {"seed": 0, "outer_samples": 10000, "ks": [1, 2]},
-  "bounds": {"p_values": [1, 2] | "all"},
+  "mc": {"seed": 0, "outer_samples": 10000, "ks": [1, 2]},  # default ks 1..n
+  "bounds": {"p_values": [1, 2] | "all"},       # default "all", p 1..n//2
   "output": {"format": "json" | "csv" | "both", "path": "report"}
 }
 
@@ -75,14 +77,14 @@ class ConfigError(ValueError):
     """Config parsing/validation failure; message names the offending field."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class InstanceConfig:
     space: ProductSpace
     statistic: Statistic
     engine: str
     mc: McConfig | None
-    ks: list | None  # MC orders to report; None = every order 1..n
-    p_values: list | None  # None = all valid p
+    ks: tuple[int, ...]  # MC orders to report
+    p_values: tuple[int, ...]  # bracket depths to report
     out_format: str
     out_path: str
 
@@ -117,6 +119,24 @@ def _integer(x, where: str) -> int:
     if isinstance(x, int) and not isinstance(x, bool):
         return x
     raise ConfigError(f"{where}: expected an integer, got {x!r}")
+
+
+def _orders(x, top: int, where: str, name: str, every) -> tuple[int, ...]:
+    """Every order 1..top when `x` is `every`, else an array of distinct integers in 1..top."""
+    if x == every:
+        return tuple(range(1, top + 1))
+    if not isinstance(x, list):
+        also = f'"{every}" or ' if every is not None else ""
+        raise ConfigError(f"{where}: expected {also}an array of integers")
+    orders = tuple(_integer(v, where) for v in x)
+    seen = set()
+    for v in orders:
+        if not 1 <= v <= top:
+            raise ConfigError(f"{where}: {name.format(v)} out of range 1..{top}")
+        if v in seen:
+            raise ConfigError(f"{where}: {name.format(v)} is repeated")
+        seen.add(v)
+    return orders
 
 
 def _parse_statistic(d, where: str) -> Statistic:
@@ -197,17 +217,12 @@ def parse_config(raw: dict) -> InstanceConfig:
         raise ConfigError(f"engine: expected one of {ENGINES}, got {engine!r}")
 
     mc_cfg = None
-    ks = None
+    mc_raw = {}
     if engine in ("mc", "both"):
         mc_raw = raw.get("mc")
         if not isinstance(mc_raw, dict):
             raise ConfigError("mc: section required when engine includes mc")
         _known(mc_raw, MC_FIELDS, "mc")
-        ks = mc_raw.get("ks")
-        if ks is not None:
-            if not isinstance(ks, list):
-                raise ConfigError("mc.ks: expected an array of integers")
-            ks = [_integer(k, "mc.ks") for k in ks]
         try:
             mc_cfg = McConfig(
                 seed=_integer(mc_raw.get("seed", 0), "mc.seed"),
@@ -215,36 +230,15 @@ def parse_config(raw: dict) -> InstanceConfig:
             )
         except ModelError as e:
             raise ConfigError(f"mc: {e}") from e
-        seen = set()
-        for k in ks or ():
-            if not 1 <= k <= space.n:
-                raise ConfigError(f"mc.ks: order {k} out of range 1..{space.n}")
-            if k in seen:
-                raise ConfigError(f"mc.ks: order {k} is repeated")
-            seen.add(k)
     elif "mc" in raw:
         raise ConfigError("mc: section present but engine does not include mc")
+    ks = _orders(mc_raw.get("ks"), space.n, "mc.ks", "order {}", None)
 
-    p_values = None
     bounds_raw = raw.get("bounds", {})
     if not isinstance(bounds_raw, dict):
         raise ConfigError("bounds: expected an object")
     _known(bounds_raw, ("p_values",), "bounds")
-    pv = bounds_raw.get("p_values", "all")
-    if pv != "all":
-        if not isinstance(pv, list):
-            raise ConfigError('bounds.p_values: expected "all" or an array of integers')
-        pv = [_integer(p, "bounds.p_values") for p in pv]
-        seen = set()
-        for p in pv:
-            if not 1 <= p <= space.n // 2:
-                raise ConfigError(
-                    f"bounds.p_values: p={p} out of range 1..{space.n // 2}"
-                )
-            if p in seen:
-                raise ConfigError(f"bounds.p_values: p={p} is repeated")
-            seen.add(p)
-        p_values = pv
+    p_values = _orders(bounds_raw.get("p_values", "all"), space.n // 2, "bounds.p_values", "p={}", "all")
 
     out_raw = raw.get("output", {})
     if not isinstance(out_raw, dict):
@@ -269,13 +263,6 @@ def parse_config(raw: dict) -> InstanceConfig:
     )
 
 
-def _mc_orders(cfg: InstanceConfig) -> tuple:
-    """The MC orders and bracket depths a run reports: the config's, or every valid one."""
-    n = cfg.space.n
-    ks = cfg.ks if cfg.ks is not None else range(1, n + 1)
-    return ks, cfg.p_values if cfg.p_values is not None else range(1, n // 2 + 1)
-
-
 def _check_mc_cost(cfg: InstanceConfig) -> None:
     """Refuse a run whose samples times evaluations per row exceed MC_EVALUATION_LIMIT.
 
@@ -283,9 +270,8 @@ def _check_mc_cost(cfg: InstanceConfig) -> None:
     plus the variance; an order the estimators refuse raises here first.
     """
     space = cfg.space
-    ks, p_values = _mc_orders(cfg)
-    moments = {(family, k) for family in ("ej", "ek") for k in ks}
-    for p in p_values:
+    moments = {(family, k) for family in ("ej", "ek") for k in cfg.ks}
+    for p in cfg.p_values:
         for terms in bracket_terms(space.n, p).values():
             moments.update((family, k) for family, k, _ in terms)
     per_row = evaluations_per_row(space, "var")
@@ -301,8 +287,6 @@ def _check_mc_cost(cfg: InstanceConfig) -> None:
 
 def _mc_section(cfg: InstanceConfig) -> dict:
     space, stat, mc_cfg = cfg.space, cfg.statistic, cfg.mc
-    n = space.n
-    ks, p_values = _mc_orders(cfg)
 
     def as_dict(est):
         d = {"mean": est.mean, "std_error": est.std_error, "samples": est.samples}
@@ -315,12 +299,12 @@ def _mc_section(cfg: InstanceConfig) -> dict:
         "seed": mc_cfg.seed,
         "outer_samples": mc_cfg.outer_samples,
         "var": as_dict(estimate_variance(space, stat, mc_cfg)),
-        "ej": {str(k): as_dict(moment("ej", k)) for k in ks},
-        "ek": {str(k): as_dict(moment("ek", k)) for k in ks},
+        "ej": {str(k): as_dict(moment("ej", k)) for k in cfg.ks},
+        "ek": {str(k): as_dict(moment("ek", k)) for k in cfg.ks},
     }
     brackets = []
-    for p in p_values:
-        b = assemble_bracket(n, p, moment)
+    for p in cfg.p_values:
+        b = assemble_bracket(space.n, p, moment)
         brackets.append(
             {
                 "p": b.p,
@@ -358,6 +342,19 @@ def _write_csv(path: str, report: BoundsReport | None, mc_section: dict | None):
                 )
 
 
+def _override(raw: dict, section: str, field: str, value) -> None:
+    """Write a flag into the config field it overrides; parse_config checks it there."""
+    fields = raw.setdefault(section, {})  # a flag may synthesize a default section
+    if isinstance(fields, dict):  # parse_config refuses any other section
+        fields[field] = value
+
+
+def _write_json(path: str, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def cmd_run(args) -> int:
     try:
         with open(args.config) as fh:
@@ -368,27 +365,22 @@ def cmd_run(args) -> int:
     except json.JSONDecodeError as e:
         print(f"error: {args.config}:{e.lineno}:{e.colno}: {e.msg}", file=sys.stderr)
         return 1
-    if args.engine and isinstance(raw, dict):
-        raw["engine"] = args.engine
-        if args.engine == "exact":
-            raw.pop("mc", None)  # the override makes the section unused
-        else:
-            raw.setdefault("mc", {})  # flags may synthesize a default section
-    if (
-        args.seed is not None
-        and isinstance(raw, dict)
-        and raw.get("engine", "exact") in ("mc", "both")
-    ):
-        mc_raw = raw.setdefault("mc", {})
-        if isinstance(mc_raw, dict):  # parse_config refuses any other section
-            mc_raw["seed"] = args.seed
+    if isinstance(raw, dict):  # parse_config refuses any other root
+        if args.engine:
+            raw["engine"] = args.engine
+            if args.engine == "exact":
+                raw.pop("mc", None)  # the override makes the section unused
+            else:
+                raw.setdefault("mc", {})
+        if args.seed is not None and raw.get("engine", "exact") in ("mc", "both"):
+            _override(raw, "mc", "seed", args.seed)
+        if args.out is not None:
+            _override(raw, "output", "path", args.out)
     try:
         cfg = parse_config(raw)
     except ConfigError as e:
         print(f"error: {args.config}: {e}", file=sys.stderr)
         return 1
-    if args.out:
-        cfg.out_path = args.out
 
     t0 = time.perf_counter()
     report = None
@@ -424,16 +416,18 @@ def cmd_run(args) -> int:
         doc["mc"] = mc_section
 
     wrote = []
-    if cfg.out_format in ("json", "both"):
-        path = cfg.out_path + ".json"
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        wrote.append(path)
-    if cfg.out_format in ("csv", "both"):
-        path = cfg.out_path + ".csv"
-        _write_csv(path, report, mc_section)
-        wrote.append(path)
+    try:
+        if cfg.out_format in ("json", "both"):
+            path = cfg.out_path + ".json"
+            _write_json(path, doc)
+            wrote.append(path)
+        if cfg.out_format in ("csv", "both"):
+            path = cfg.out_path + ".csv"
+            _write_csv(path, report, mc_section)
+            wrote.append(path)
+    except OSError as e:
+        print(f"error: cannot write {path}: {e}", file=sys.stderr)
+        return 1
 
     if report is not None:
         print(f"var_exact = {report.var_exact!r}")
@@ -461,16 +455,18 @@ def cmd_selfcheck(args) -> int:
         print("selfcheck: PASS")
         return 0
     first = result.failures[0]
-    path = f"selfcheck_failure_{first['index']}.json"
-    with open(path, "w") as fh:
-        json.dump(first["config"], fh, indent=2)
-        fh.write("\n")
     print(f"selfcheck: FAIL on instance {first['index']}: {first['bad']}", file=sys.stderr)
+    path = f"selfcheck_failure_{first['index']}.json"
+    try:
+        _write_json(path, first["config"])
+    except OSError as e:
+        print(f"error: cannot write {path}: {e}", file=sys.stderr)
+        return 1
     print(f"replay config written to {path}", file=sys.stderr)
     return 2
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jackvar",
         description="Exact and Monte Carlo variance decomposition via iterated jackknives",
@@ -480,17 +476,20 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run the engines on a JSON instance config")
     p_run.add_argument("config", help="path to the instance config (JSON)")
-    p_run.add_argument("--engine", choices=ENGINES, help="override the config engine")
-    p_run.add_argument("--seed", type=int, help="override the Monte Carlo seed")
-    p_run.add_argument("--out", help="override the output path base")
+    p_run.add_argument("--engine", choices=ENGINES, help="override engine")
+    p_run.add_argument("--seed", type=int, help="override mc.seed on a run that includes mc")
+    p_run.add_argument("--out", help="override output.path, the output path base")
     p_run.set_defaults(fn=cmd_run)
 
     p_check = sub.add_parser("selfcheck", help="run the randomized identity battery")
     p_check.add_argument("--instances", type=int, default=200)
     p_check.add_argument("--seed", type=int, default=7)
     p_check.set_defaults(fn=cmd_selfcheck)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     return args.fn(args)
 
 

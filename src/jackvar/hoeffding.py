@@ -50,9 +50,10 @@ def subset_masses(space: ProductSpace, arr) -> np.ndarray:
     of the reflection I - v v^T/v_0, v = sqrt(p_c) + e_1 (v_0 >= 1), which
     maps e_1 to -sqrt(p_c).  Those rows vanish on constants: nothing is centred.
     A stacked product over the moved axis applies it on one BLAS thread.  The
-    squares, folded per axis into {constant, rest}, are the 2^n masses.
+    squares, folded per axis into {constant, rest}, are the 2^n masses.  The
+    size rule counts the grid, the 2^n masses and the widest axis's m_c^2 matrix.
     """
-    space.check_grid("the subset masses", max(space.n_outcomes, 1 << space.n))
+    space.check_grid("the subset masses", max(space.n_outcomes, 1 << space.n, max(space.shape) ** 2))
     coeffs = np.asarray(arr, dtype=np.float64)
     for axis in range(space.n):
         p = space.axis_probs(axis + 1)

@@ -1,11 +1,16 @@
+import argparse
+import dataclasses
 import json
 import math
+import pathlib
 import re
 
 import pytest
 
 import jackvar as jv
 from jackvar import cli
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 RAD2_PROD_CONFIG = {
@@ -68,6 +73,79 @@ class TestRunExact:
         )
         assert rc == 0
         assert (tmp_path / "alt.json").exists()
+
+
+class TestFlagsAreConfigFields:
+    """Each `run` flag is checked as the config field it overrides."""
+
+    def test_empty_out_is_refused(self, tmp_path, capsys, monkeypatch):
+        # it used to be ignored, and the report went to the config's output.path
+        monkeypatch.chdir(tmp_path)
+        doc = dict(RAD2_PROD_CONFIG, output={"path": "fromcfg"})
+        assert cli.main(["run", write_config(tmp_path, doc), "--out", ""]) == 1
+        err = capsys.readouterr().err
+        assert "output.path: expected a non-empty string" in err and "Traceback" not in err
+        assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("section", [5, None, ["x"], "x"], ids=["int", "null", "array", "string"])
+    def test_out_on_a_non_object_output_section(self, tmp_path, capsys, section):
+        doc = dict(RAD2_PROD_CONFIG, output=section)
+        assert cli.main(["run", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "output: expected an object" in err and "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_out_flag_writes_what_output_path_writes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: 0.0)  # wall_time_s 0.0 in both
+        doc = dict(RAD2_PROD_CONFIG, engine="both", mc={"seed": 3, "outer_samples": 200})
+        by_field = dict(doc, output={"format": "both", "path": str(tmp_path / "field")})
+        assert cli.main(["run", write_config(tmp_path, by_field, "field.json")]) == 0
+        by_flag = dict(doc, output={"format": "both", "path": str(tmp_path / "unused")})
+        assert cli.main(["run", write_config(tmp_path, by_flag, "flag.json"), "--out", str(tmp_path / "flag")]) == 0
+        for ext in (".json", ".csv"):
+            assert (tmp_path / f"flag{ext}").read_bytes() == (tmp_path / f"field{ext}").read_bytes()
+        assert not (tmp_path / "unused.json").exists()
+
+    @pytest.mark.parametrize("engine", ["exact", "mc", "both"])
+    @pytest.mark.parametrize("orders", [{}, {"ks": None}, {"p_values": "all"}], ids=["absent", "ks-null", "p-all"])
+    def test_default_orders_are_resolved(self, engine, orders):
+        doc = dict(RAD2_PROD_CONFIG, engine=engine, distributions=RAD2_PROD_CONFIG["distributions"] * 3,
+                   statistic={"kind": "max", "params": {}})
+        if engine != "exact":
+            doc["mc"] = {"ks": orders["ks"]} if "ks" in orders else {}
+        if "p_values" in orders:
+            doc["bounds"] = {"p_values": orders["p_values"]}
+        cfg = cli.parse_config(doc)
+        assert (cfg.ks, cfg.p_values) == ((1, 2, 3, 4, 5, 6), (1, 2, 3))
+
+
+class TestUnwritableOutput:
+    """An output file that cannot be written is one error line and exit 1, not a traceback."""
+
+    @pytest.mark.parametrize("how", ["flag", "field"])
+    def test_run(self, tmp_path, capsys, how):
+        missing = str(tmp_path / "sub" / "dir" / "x")
+        doc = dict(RAD2_PROD_CONFIG, output={"format": "csv", "path": missing if how == "field" else "unused"})
+        flags = ["--out", missing] if how == "flag" else []
+        assert cli.main(["run", write_config(tmp_path, doc), *flags]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: cannot write {missing}.csv: ") and err.count("\n") == 1
+        assert "wrote" not in out
+
+    def test_selfcheck_replay(self, tmp_path, monkeypatch, capsys):
+        import jackvar.selfcheck as sc
+
+        real = sc.identity_residuals
+        monkeypatch.setattr(sc, "identity_residuals", lambda *a: dataclasses.replace(real(*a), spectrum_total=1.0))
+        monkeypatch.chdir(tmp_path)
+        for index in range(3):  # a directory where the replay file would go
+            (tmp_path / f"selfcheck_failure_{index}.json").mkdir()
+        assert cli.main(["selfcheck", "--instances", "3", "--seed", "3"]) == 1
+        err = capsys.readouterr().err
+        assert "selfcheck: FAIL on instance 0" in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: cannot write selfcheck_failure_0.json: ")
+        assert "Traceback" not in err
 
 
 class TestRunMc:
@@ -266,6 +344,15 @@ class TestSizeRule:
         assert cli.main(["run", write_config(tmp_path, doc)]) == 0
         report = json.loads((tmp_path / "out.json").read_text())
         assert report["outcomes"] == 1 << 30 and report["mc"]["brackets"][0]["p"] == 1
+
+    def test_wide_coordinate_is_refused(self, tmp_path, capsys):
+        # 5000 outcomes, but the masses' 5000 x 5000 basis matrix exceeds the default cap
+        doc = dict(RAD2_PROD_CONFIG, statistic={"kind": "max", "params": {}},
+                   distributions=[{"support": list(range(5000)), "probs": [0.0002] * 5000}],
+                   output={"path": str(tmp_path / "out")})
+        assert cli.main(["run", write_config(tmp_path, doc)]) == 1
+        assert "exact engine: the subset masses: 25000000 float64 values" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
     def test_more_axes_than_numpy_allows(self, tmp_path, capsys):
         doc = dict(RAD2_PROD_CONFIG)
@@ -480,6 +567,29 @@ class TestUnknownFields:
         assert tuple(re.findall(r'"(\w+)":', mc_line)) == cli.MC_FIELDS
         params = dict(re.findall(r"^  (\w+) +\{(.*)\}$", kinds, re.M))
         assert {kind: tuple(re.findall(r'"(\w+)":', p)) for kind, p in params.items()} == cli.STATISTIC_PARAMS
+
+    def test_documented_usage_is_the_parsed_usage(self):
+        # each subcommand's positionals and flags; a choice flag lists its choices,
+        # an integer flag takes N and a path flag PATH
+        (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        parsed = {}
+        for name, sub in commands.choices.items():
+            actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+            parsed[name] = (
+                [a.dest for a in actions if not a.option_strings],
+                [(a.option_strings[0], "|".join(a.choices) if a.choices else "N" if a.type is int else "PATH")
+                 for a in actions if a.option_strings],
+            )
+        for block, prefix in (
+            (re.search(r"Subcommands:\n(.*?)\n\n", cli.__doc__, re.S).group(1), "  "),
+            (re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(), re.S).group(1), "jackvar "),
+        ):
+            documented = {}
+            for line in block.splitlines():
+                name, rest = line.removeprefix(prefix).split(" ", 1)
+                positionals = [re.sub(r"\W|json", "", p) for p in re.sub(r"\[[^]]*\]", "", rest).split()]
+                documented[name] = (positionals, re.findall(r"\[(--[\w-]+) ([^]]+)\]", rest))
+            assert documented == parsed
 
     def test_misspelt_sample_count(self, tmp_path, capsys):
         doc = _with(engine="mc", mc={"outer_sample": 100})

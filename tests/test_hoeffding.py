@@ -175,6 +175,17 @@ class TestSubsetMasses:
         with pytest.raises(GridSizeError, match=r"component tables: 256 float64 values \(2048 bytes\)"):
             jv.decompose(cache)
 
+    def test_counts_the_widest_axis_matrix(self):
+        # one 100-point coordinate: 100 outcomes and 2 masses, but a 100 x 100 matrix
+        law = jv.DiscreteDistribution(np.arange(100.0), [0.01] * 100)
+        values = np.linspace(-1.0, 1.0, 100)
+        refused = jv.build_space([law], cap=9999)
+        with pytest.raises(GridSizeError, match=r"the subset masses: 10000 float64 values \(80000 bytes\)"):
+            jv.subset_masses(refused, jv.tabulate(jv.Statistic.table(values), refused).array)
+        space = jv.build_space([law], cap=10000)
+        masses = jv.subset_masses(space, jv.tabulate(jv.Statistic.table(values), space).array)
+        assert masses.sum() == pytest.approx(np.mean(values**2), rel=1e-12)
+
     def test_decompose_masses_match_components(self, instances):
         for cache, decomp in instances:
             w = cache.space.joint_weights()
