@@ -17,8 +17,8 @@ Config schema (all fields except `distributions` and `statistic` optional):
   "distributions": [{"support": [..], "probs": [..]}, ...],
   "statistic": {"kind": "table|sum|max|ustat2|poly", "params": {...}},
   "engine": "exact" | "mc" | "both",            # default "exact"
-  "mc": {"seed": 0, "outer_samples": 10000, "ks": [1, 2]},  # default ks 1..n
-  "bounds": {"p_values": [1, 2] | "all"},       # default "all", p 1..n//2
+  "mc": {"seed": 0, "outer_samples": 10000, "ks": [1, 2] | null | "all"},
+  "bounds": {"p_values": [1, 2] | null | "all"},
   "output": {"format": "json" | "csv" | "both", "path": "report"}
 }
 
@@ -29,8 +29,10 @@ statistic params per kind:
   ustat2 {"g": [[support_value, g_value], ...]}
   poly   {"terms": [[coef, [e_1..e_n]], ...]}
 
-A field outside this schema is refused (exit 1), never ignored.  An MC
-run whose samples times statistic evaluations per row, summed over the
+A field outside this schema is refused (exit 1), never ignored.  `mc.ks`
+and `bounds.p_values` name every order (ks 1..n, p_values 1..n//2) when
+absent, null or "all", and otherwise list distinct orders.  An MC run
+whose samples times statistic evaluations per row, summed over the
 variance and every moment its orders and brackets need, exceed
 MC_EVALUATION_LIMIT is refused (exit 1) before either engine starts.
 
@@ -121,13 +123,12 @@ def _integer(x, where: str) -> int:
     raise ConfigError(f"{where}: expected an integer, got {x!r}")
 
 
-def _orders(x, top: int, where: str, name: str, every) -> tuple[int, ...]:
-    """Every order 1..top when `x` is `every`, else an array of distinct integers in 1..top."""
-    if x == every:
+def _orders(x, top: int, where: str, name: str) -> tuple[int, ...]:
+    """Every order 1..top when `x` is null or "all", else an array of distinct integers in 1..top."""
+    if x is None or x == "all":
         return tuple(range(1, top + 1))
     if not isinstance(x, list):
-        also = f'"{every}" or ' if every is not None else ""
-        raise ConfigError(f"{where}: expected {also}an array of integers")
+        raise ConfigError(f'{where}: expected null, "all" or an array of integers')
     orders = tuple(_integer(v, where) for v in x)
     seen = set()
     for v in orders:
@@ -232,13 +233,13 @@ def parse_config(raw: dict) -> InstanceConfig:
             raise ConfigError(f"mc: {e}") from e
     elif "mc" in raw:
         raise ConfigError("mc: section present but engine does not include mc")
-    ks = _orders(mc_raw.get("ks"), space.n, "mc.ks", "order {}", None)
+    ks = _orders(mc_raw.get("ks"), space.n, "mc.ks", "order {}")
 
     bounds_raw = raw.get("bounds", {})
     if not isinstance(bounds_raw, dict):
         raise ConfigError("bounds: expected an object")
     _known(bounds_raw, ("p_values",), "bounds")
-    p_values = _orders(bounds_raw.get("p_values", "all"), space.n // 2, "bounds.p_values", "p={}", "all")
+    p_values = _orders(bounds_raw.get("p_values"), space.n // 2, "bounds.p_values", "p={}")
 
     out_raw = raw.get("output", {})
     if not isinstance(out_raw, dict):

@@ -2,17 +2,21 @@
 
 Randomness discipline
 ---------------------
-All draws come from Philox4x64-10 counter-based generators (Salmon et al.,
-SC'11, "Parallel random numbers: as easy as 1, 2, 3").  The stream for
-logical purpose `tag` under seed `s` uses the 128-bit key
-``s | (tag << 64)``; sample index i uses that key with the 256-bit counter
-preset to ``i << 128``.  The seed, the tag and the index must each fit in
-one 64-bit word; anything else raises `ModelError`, never wraps.
-`stream_rng` gives that stream as numpy's ``np.random.Philox`` Generator.
+All draws come from Philox4x64-10 (Salmon et al., SC'11, "Parallel random
+numbers: as easy as 1, 2, 3"), through numpy's C generator.  Logical
+purpose `tag` under seed `s` has one flat stream, ``np.random.Philox`` with
+the 128-bit key ``s | (tag << 64)``: its word j is word j mod 4 of the
+cipher of the 256-bit counter j // 4 + 1.  A sample row of `width`
+uniforms owns B = ceil(width / 4) of the stream's 4-word blocks: row r
+reads words r*4B .. (r+1)*4B - 1 and keeps the first `width`.  The seed
+and the tag must each fit in one 64-bit word and the rows in 0..2^64-1;
+anything else raises `ModelError`, never wraps.  `stream_rng(seed, tag,
+index)` gives the stream positioned at block `index` (any 256-bit counter
+value).
 Consequences:
 
   * streams for outer draws, copies, subset choices, and inner completions
-    are independent by construction (distinct tags / counter blocks);
+    are independent by construction (distinct tags, distinct keys);
   * every per-sample contribution depends only on (seed, tag, i), so
     splitting a run into blocks [0,a), [a,b), ... and concatenating the
     per-sample contribution arrays reproduces the single-block arrays
@@ -39,19 +43,16 @@ uses no BLAS product, whose rounding depends on the block shape).
 
 The block generator
 -------------------
-`_uniform_block` computes Philox4x64-10 in numpy for a whole block of rows
-at once, bit-identical to the rows of `stream_rng`, which stays as the
-reference the tests compare against: row i, 4-word group b of the row is
-the cipher of the counter (b+1, 0, i, 0) under the key (seed, tag), 10
-rounds with the 64x64 -> 128-bit products split into 32-bit halves, and
-each word w becomes the uniform (w >> 11) * 2^-53, as ``Generator.random``
-does.  Building one numpy Generator per row cost more than all the
-statistic evaluations of a pass.  The rounds run on _TILE_ROWS rows at a
-time, because the round temporaries scale with the rows in flight: an
-8192 x 81 block peaks at about 26 MB of numpy allocations untiled and 8 MB
-in tiles of 1024 rows, no slower.  Like BLOCK_ROWS, the tile size cannot
-change a result.  Sampled k-subsets are unranked for all rows at once by
-`_unrank_combinations`.
+`_uniform_block` draws rows a .. a + count - 1 as one call into numpy's C
+Philox: ``stream_rng(seed, tag, a * B).random(count * 4 * B)``, reshaped
+to (count, 4B) and sliced to `width` columns.  Each row is a fixed range
+of its stream, so no split of a block into smaller ones moves a bit.  The
+uniform of word w is (w >> 11) * 2^-53, as ``Generator.random`` computes
+it; numpy's stream policy (NEP 19) fixes the raw words, and a test pins
+that conversion against ``random_raw``, so a numpy change fails a test
+instead of moving estimates.  The generator's memory is the block's
+(count, 4B) float64 array.  Sampled k-subsets are unranked for all rows
+at once by `_unrank_combinations`.
 
 Estimator constructions
 -----------------------
@@ -103,13 +104,7 @@ from .jackknife import factorial
 from .model import ModelError, NonFiniteError, ProductSpace, Statistic, as_index_set, as_integer
 
 _MASK64 = (1 << 64) - 1
-_MASK32 = (1 << 32) - 1
 _INT64_MAX = (1 << 63) - 1
-
-# Philox4x64-10 constants (Salmon et al., SC'11): round multipliers and key bumps
-_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
-_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
-_PHILOX_ROUNDS = 10
 
 TAG_OUTCOME = 1
 TAG_VAR = 2
@@ -120,7 +115,6 @@ TAG_DIFF_BASE = 3 << 16  # + subset bitmask
 
 ENUMERATE_SUBSET_LIMIT = 64
 BLOCK_ROWS = 8192
-_TILE_ROWS = 1024  # rows of Philox words in flight; bounds the generator's scratch
 _COUNT_SUPPORT = 64  # largest support inverted by counting thresholds; faster, never different
 
 
@@ -168,57 +162,24 @@ def _word64(what: str, value: int) -> int:
 
 
 def stream_rng(seed: int, tag: int, index: int) -> np.random.Generator:
-    """Generator for one (purpose, sample index) pair; see module docstring."""
+    """The stream of (seed, tag) positioned at 4-word block `index`; see module docstring."""
     key = _word64("seed", seed) | (_word64("stream tag", tag) << 64)
-    index = as_integer("sample index", index)
-    if not 0 <= index <= _MASK64:
-        raise ModelError(f"sample index {index} is outside the 64-bit counter word 0..2^64-1")
-    return np.random.Generator(np.random.Philox(key=key, counter=index << 128))
-
-
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit product m * x, through 32-bit halves."""
-    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & _MASK32)
-    x_hi, x_lo = x >> 32, x & _MASK32
-    hi_lo = x_hi * m_lo
-    cross = ((x_lo * m_lo) >> 32) + (hi_lo & _MASK32) + x_lo * m_hi  # < 2^64
-    return x_hi * m_hi + (hi_lo >> 32) + (cross >> 32), x * np.uint64(m)
-
-
-def _philox_round(ctr, key):
-    """One Philox4x64 round on four broadcasting counter words."""
-    hi0, lo0 = _mulhilo(_PHILOX_M0, ctr[0])
-    hi1, lo1 = _mulhilo(_PHILOX_M1, ctr[2])
-    return hi1 ^ ctr[1] ^ key[0], lo1, hi0 ^ ctr[3] ^ key[1], lo0
+    index = as_integer("block index", index)
+    if not 0 <= index < 1 << 256:
+        raise ModelError(f"block index {index} is outside the 256-bit counter 0..2^256-1")
+    return np.random.Generator(np.random.Philox(key=key, counter=index))
 
 
 def _uniform_block(seed: int, tag: int, start: int, count: int, width: int) -> np.ndarray:
-    """(count, width) uniforms; row r is stream_rng(seed, tag, start + r).random(width)."""
-    k0, k1 = _word64("seed", seed), _word64("stream tag", tag)
+    """(count, width) uniforms; row r is row start + r of the flat (seed, tag) stream."""
     start, count = as_integer("start", start), as_integer("count", count)
     if not 0 <= start <= start + count <= 1 << 64:
         raise ModelError(
             f"sample rows {start}..{start + count - 1} are outside the 64-bit counter word 0..2^64-1"
         )
-    keys = []
-    for _ in range(_PHILOX_ROUNDS):
-        keys.append((np.uint64(k0), np.uint64(k1)))
-        k0, k1 = (k0 + _PHILOX_W0) & _MASK64, (k1 + _PHILOX_W1) & _MASK64
     blocks = -(-width // 4)
-    first = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]  # counter word 0 = block + 1
-    words = np.empty((min(count, _TILE_ROWS), blocks, 4), dtype=np.uint64)
-    out = np.empty((count, width))
-    for lo in range(0, count, _TILE_ROWS):
-        rows = min(_TILE_ROWS, count - lo)
-        index = np.uint64(start + lo) + np.arange(rows, dtype=np.uint64)[:, None]
-        ctr = (first, np.uint64(0), index, np.uint64(0))  # counter word 2 = row index
-        for key in keys:
-            ctr = _philox_round(ctr, key)
-        tile = words[:rows]
-        for j in range(4):
-            tile[..., j] = ctr[j]
-        out[lo : lo + rows] = (tile.reshape(rows, 4 * blocks)[:, :width] >> 11) * 2.0**-53
-    return out
+    rng = stream_rng(seed, tag, start * blocks)
+    return rng.random(count * 4 * blocks).reshape(count, 4 * blocks)[:, :width]
 
 
 def _cdfs(space: ProductSpace) -> list[np.ndarray]:

@@ -3,7 +3,8 @@
 Everything here is deliberately primitive: plain Python floats, dict-based
 tables, nested loops over explicitly enumerated outcomes.  No numpy, no code
 shared with the library.  Used by the test suite as the reference for every
-exact quantity, and runnable as a script to print the fixture values.
+exact quantity and for the Philox words under the Monte Carlo streams, and
+runnable as a script to print the fixture values.
 
 The one exception is `alternating_eval`, the reference for the Monte Carlo
 engine's alternating differences: it must match them bit for bit on index
@@ -203,6 +204,18 @@ def unrank_combination(rank, n, k):
         out.append(c)
         c += 1
     return tuple(out)
+
+
+def philox4x64_10(counter, key):
+    """Philox4x64-10 (Salmon et al., SC'11) of four counter words under two key words."""
+    mask = (1 << 64) - 1
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for _ in range(10):
+        p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & mask, (p0 >> 64) ^ c3 ^ k1, p0 & mask
+        k0, k1 = (k0 + 0x9E3779B97F4A7C15) & mask, (k1 + 0xBB67AE8584CAA73B) & mask
+    return c0, c1, c2, c3
 
 
 def alternating_eval(space, statistic, base_idx, repl_idx, positions):

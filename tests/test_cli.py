@@ -107,8 +107,12 @@ class TestFlagsAreConfigFields:
         assert not (tmp_path / "unused.json").exists()
 
     @pytest.mark.parametrize("engine", ["exact", "mc", "both"])
-    @pytest.mark.parametrize("orders", [{}, {"ks": None}, {"p_values": "all"}], ids=["absent", "ks-null", "p-all"])
+    @pytest.mark.parametrize("orders", [
+        {}, {"ks": None}, {"p_values": "all"}, {"p_values": None}, {"ks": "all"},
+        {"ks": None, "p_values": None}, {"ks": "all", "p_values": "all"},
+    ], ids=["absent", "ks-null", "p-all", "p-null", "ks-all", "both-null", "both-all"])
     def test_default_orders_are_resolved(self, engine, orders):
+        # absent, null and "all" mean every order, for both fields alike
         doc = dict(RAD2_PROD_CONFIG, engine=engine, distributions=RAD2_PROD_CONFIG["distributions"] * 3,
                    statistic={"kind": "max", "params": {}})
         if engine != "exact":
@@ -117,6 +121,15 @@ class TestFlagsAreConfigFields:
             doc["bounds"] = {"p_values": orders["p_values"]}
         cfg = cli.parse_config(doc)
         assert (cfg.ks, cfg.p_values) == ((1, 2, 3, 4, 5, 6), (1, 2, 3))
+
+    @pytest.mark.parametrize("value", ["ALL", "every", 2, {}, True])
+    @pytest.mark.parametrize("section, field", [("mc", "ks"), ("bounds", "p_values")])
+    def test_orders_are_null_all_or_an_array(self, section, field, value):
+        doc = dict(RAD2_PROD_CONFIG, engine="mc", mc={})
+        doc[section] = {field: value}
+        message = f'{section}.{field}: expected null, "all" or an array of integers'
+        with pytest.raises(cli.ConfigError, match=f"^{re.escape(message)}$"):
+            cli.parse_config(doc)
 
 
 class TestUnwritableOutput:

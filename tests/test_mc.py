@@ -8,7 +8,7 @@ import pytest
 import jackvar as jv
 from jackvar import mc
 
-from bruteforce import alternating_eval, unrank_combination
+from bruteforce import alternating_eval, philox4x64_10, unrank_combination
 from conftest import random_iid_space, symmetric_table_statistic
 
 RAD = jv.DiscreteDistribution.rademacher()
@@ -53,8 +53,13 @@ class TestSampling:
 
 
 def stream_rows(seed, tag, start, count, width):
-    """The reference: one numpy Philox Generator per row."""
-    return np.array([mc.stream_rng(seed, tag, start + r).random(width) for r in range(count)])
+    """The reference: row r is words r*4B .. (r+1)*4B - 1 of the (seed, tag) stream, B = ceil(width/4).
+
+    Raw words of numpy's Philox, turned into uniforms by hand.
+    """
+    blocks = -(-width // 4)
+    raw = np.random.Philox(key=seed | tag << 64, counter=start * blocks).random_raw(count * 4 * blocks)
+    return (raw.reshape(count, 4 * blocks)[:, :width] >> np.uint64(11)) * 2.0**-53
 
 
 TOP = (1 << 64) - 1
@@ -66,7 +71,7 @@ class TestUniformBlock:
         (7, TOP, 11, 4, 81),  # largest tag in use: TAG_DIFF_BASE + the largest bitmask that fits
         (7, mc.TAG_OUTCOME, TOP - 2, 3, 1),  # last rows of the counter
         (TOP, TOP, TOP, 1, 6),
-        (3, mc.TAG_TOTAL_BASE + 2, 1000, mc._TILE_ROWS + 2, 3),  # crosses a tile boundary
+        (3, mc.TAG_TOTAL_BASE + 2, 1000, 1030, 8),  # rows of whole 4-word blocks
     ]
 
     @pytest.mark.parametrize("case", EDGES)
@@ -82,23 +87,47 @@ class TestUniformBlock:
             assert np.array_equal(mc._uniform_block(*case), stream_rows(*case)), case
 
     def test_pinned_rows(self):
-        # written by the per-row np.random.Philox generator this one replaced
+        # written by the hand reference `stream_rows`
         pinned = {
             (TOP, TOP, TOP, 1, 6): [
-                "0x1.5b62ee8f7696dp-1", "0x1.cb1c762e370b2p-2", "0x1.1d030cf020998p-3",
-                "0x1.26d277a797054p-2", "0x1.e8fada70cf9f0p-4", "0x1.98328bc9987c2p-2"],
+                "0x1.b9d65f0c1933fp-1", "0x1.864d359306271p-1", "0x1.32691f8b9c97cp-1",
+                "0x1.d07279aa607c8p-1", "0x1.e397b10acec2dp-1", "0x1.4286b02741190p-5"],
             (20181, mc.TAG_TOTAL_BASE + 2, 8191, 1, 5): [
-                "0x1.412d1b1c246b2p-1", "0x1.daeddd5e87b0bp-1", "0x1.41bddf57f2614p-2",
-                "0x1.1060b590cb04cp-1", "0x1.9560cdbdbf97cp-1"],
+                "0x1.6754961a8c994p-2", "0x1.dcc2193094838p-1", "0x1.2406555766574p-2",
+                "0x1.46b6f768018f0p-3", "0x1.c65769692af88p-3"],
         }
         for case, row in pinned.items():
             assert mc._uniform_block(*case)[0].tolist() == [float.fromhex(h) for h in row]
 
-    @pytest.mark.parametrize("tile", [1, 7, 4096])
-    def test_tile_size_cannot_change_a_result(self, monkeypatch, tile):
+    def test_stream_words_are_the_cipher(self):
+        # the oracle gives Random123's known answers (counter 0, key 0 and all-ones) ...
+        assert philox4x64_10((0, 0, 0, 0), (0, 0)) == (
+            0x16554D9ECA36314C, 0xDB20FE9D672D0FDC, 0xD7E772CEE186176B, 0x7E68B68AEC7BA23B)
+        assert philox4x64_10((TOP,) * 4, (TOP, TOP)) == (
+            0x87B092C3013FE90B, 0x438C3C67BE8D0224, 0x9CC7D7C69CD777B6, 0xA09CAEBF594F0BA0)
+        # ... and word j of a stream is word j mod 4 of the cipher of the counter j // 4 + 1
+        for seed, tag, start in ((0, 0, 0), (TOP, TOP, TOP), (5, mc.TAG_BIAS, (1 << 256) - 2)):
+            raw = np.random.Philox(key=seed | tag << 64, counter=start).random_raw(8)
+            counters = [(start + b) % (1 << 256) for b in (1, 2)]
+            blocks = [philox4x64_10([c >> 64 * i & TOP for i in range(4)], (seed, tag)) for c in counters]
+            assert raw.tolist() == [w for block in blocks for w in block]
+
+    def test_random_is_the_hand_conversion_of_raw_words(self):
+        # numpy's stream policy (NEP 19) fixes the raw words, not how Generator.random converts them
+        for key, counter in ((0, 0), (TOP | TOP << 64, 5), (12345 | 7 << 64, (1 << 256) - 3)):
+            raw = np.random.Philox(key=key, counter=counter).random_raw(1000)
+            got = np.random.Generator(np.random.Philox(key=key, counter=counter)).random(1000)
+            assert got.tolist() == ((raw >> np.uint64(11)) * 2.0**-53).tolist()
+
+    def test_any_split_gives_the_same_rows(self):
         whole = mc._uniform_block(9, mc.TAG_BIAS, 123, 2500, 13)
-        monkeypatch.setattr(mc, "_TILE_ROWS", tile)
-        assert np.array_equal(mc._uniform_block(9, mc.TAG_BIAS, 123, 2500, 13), whole)
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            cuts = sorted(rng.choice(np.arange(1, 2500), int(rng.integers(1, 8)), replace=False).tolist())
+            edges = [0, *cuts, 2500]
+            parts = [mc._uniform_block(9, mc.TAG_BIAS, 123 + lo, hi - lo, 13)
+                     for lo, hi in zip(edges, edges[1:])]
+            assert np.array_equal(np.vstack(parts), whole), cuts
 
     @pytest.mark.parametrize("tag", [-1, 1 << 64])
     def test_refuses_tags_beyond_the_key_word(self, tag):
@@ -113,12 +142,15 @@ class TestUniformBlock:
         with pytest.raises(jv.ModelError, match=f"seed {seed} is outside the 64-bit key word"):
             mc.stream_rng(seed, mc.TAG_OUTCOME, 0)
 
-    @pytest.mark.parametrize("index", [-1, 1 << 64])
+    @pytest.mark.parametrize("index", [-1, 1 << 256], ids=["-1", "2^256"])
     def test_reference_refuses_indices_beyond_the_counter_word(self, index):
-        # -1 died with numpy's ValueError; 2^64 gave a row the block generator refuses
-        with pytest.raises(jv.ModelError, match=f"sample index {index} is outside the 64-bit counter word"):
+        # a 4-word block index is any position of the 256-bit counter, and nothing else
+        with pytest.raises(jv.ModelError, match=f"block index {index} is outside the 256-bit counter"):
             mc.stream_rng(1, 1, index)
         assert mc.stream_rng(1, 1, TOP).random(2).tolist() == mc._uniform_block(1, 1, TOP, 1, 2)[0].tolist()
+        # the largest index is taken, and its counter wraps to the start of the stream
+        last = mc.stream_rng(1, 1, (1 << 256) - 1).random(8)
+        assert last[4:].tolist() == mc.stream_rng(1, 1, 0).random(4).tolist()
 
     def test_refuses_rows_beyond_the_counter_word(self, rad2):
         last = jv.sample_outcomes(rad2, 1, seed=5, start=TOP)
@@ -348,8 +380,6 @@ class TestBlockDriver:
         assert whole.shape == (53,)
         monkeypatch.setattr(mc, "BLOCK_ROWS", 16)
         assert np.array_equal(mc._contributions(*args), whole)  # blocks of 16, 16, 16, 5
-        monkeypatch.setattr(mc, "_TILE_ROWS", 3)
-        assert np.array_equal(mc._contributions(*args), whole)  # tiles of 3 inside each block
         # odd split points, the second part straddling block boundaries at 16 and 32
         parts = [mc._contributions(*args, lo, hi - lo) for lo, hi in ((0, 7), (7, 37), (37, 53))]
         assert np.array_equal(np.concatenate(parts), whole)
@@ -600,17 +630,17 @@ class TestPinnedEstimates:
     SMALL, WIDE = jv.build_space([LAW] * 4), jv.build_space([LAW] * 9)
     CFG = jv.McConfig(seed=81, outer_samples=2000)
     PINNED = {
-        "ej2-enumerated": ("0x1.1871b79b645a2p+4", "0x1.a2bdc71dc52f2p-1"),
-        "ek2-enumerated": ("0x1.0f8d941eb851fp+3", "0x1.101efa060925ap+0"),
-        "ej3-sampled": ("0x1.3c53d8f459a73p+12", "0x1.9baa9bf5a4f7cp+10"),
-        "ek3-sampled": ("-0x1.2573aeedff037p+7", "0x1.0bc200f53cee2p+7"),
-        "var": ("0x1.a98ac5b22d0e5p+2", "0x1.3276983fd7467p-2"),
-        "diff23": ("0x1.cf4cf920c49bap+2", "0x1.1b778ee80c360p-1"),
-        "bias": ("0x1.a3aef9c9a0275p+3", "0x1.99cd6f0b3ac42p-1"),
-        "bracket1.lower_j": ("0x1.8c6755c000000p+2", "0x1.72a33f1d13baep-1"),
-        "bracket1.lower_jk": ("0x1.01bae3b70a3d7p+3", "0x1.9f37a44ce52bep-1"),
-        "bracket1.upper_jk": ("0x1.56de986c08312p+3", "0x1.995f6d4f9942cp-1"),
-        "bracket1.upper_j": ("0x1.dea5627b645a2p+3", "0x1.31d63fffaba36p-1"),
+        "ej2-enumerated": ("0x1.3d4337c666666p+4", "0x1.cffccf22c2d15p-1"),
+        "ek2-enumerated": ("0x1.274aa8df3b646p+3", "0x1.430d4aeff705ep+0"),
+        "ej3-sampled": ("0x1.5ffabbc84827dp+14", "0x1.674cff37cbe53p+13"),
+        "ek3-sampled": ("0x1.fb52ba03ff7cfp+5", "0x1.14f9775719d2dp+6"),
+        "var": ("0x1.c39959ec8b439p+2", "0x1.4d444c5174a66p-2"),
+        "diff23": ("0x1.e5fc9df3b645ap+2", "0x1.1d53280d8d962p-1"),
+        "bias": ("0x1.9dfc2703e425bp+3", "0x1.907e0f0910222p-1"),
+        "bracket1.lower_j": ("0x1.3f4406c3126eap+2", "0x1.84d1f1c74c6c7p-1"),
+        "bracket1.lower_jk": ("0x1.98aa6ef645a1dp+2", "0x1.ab41e348818eep-1"),
+        "bracket1.upper_jk": ("0x1.493fe6b851eb8p+3", "0x1.c122a20cfb1dbp-1"),
+        "bracket1.upper_j": ("0x1.dce53b27ef9dbp+3", "0x1.38068bf7bfa19p-1"),
     }
 
     def test_bit_identical(self):
@@ -637,16 +667,16 @@ class TestPinnedEstimates:
     MIXED_WIDE = jv.build_space(MIXED_LAWS + [ATOM, BROAD, RAD])
     MIXED_CFG = jv.McConfig(seed=82, outer_samples=2000)
     PINNED_MIXED = {
-        "ej2-enumerated": ("0x1.4b39b617d3707p+3", "0x1.188e1e369c923p-1"),
-        "ek2-enumerated": ("0x1.088996ad3d3bep+2", "0x1.2b203a0399801p-1"),
-        "ej3-sampled": ("0x1.81ab88bd1bccfp+8", "0x1.b422608cda7eap+6"),
-        "ek3-sampled": ("0x1.d5bb6f3dc9d5cp+7", "0x1.bb05ee32809e4p+7"),
-        "var": ("0x1.895fd76f6de14p+1", "0x1.f21df4bb2d696p-4"),
-        "diff235": ("0x1.228ca58e7f86dp+1", "0x1.e0f1214d386d3p-3"),
-        "bracket1.lower_j": ("0x1.ac0369b612f1cp+0", "0x1.8aa964d319abbp-2"),
-        "bracket1.lower_jk": ("0x1.38750a4fdeb63p+1", "0x1.f1db523e52dbap-2"),
-        "bracket1.upper_jk": ("0x1.31f5c52eb98efp+2", "0x1.98127ea5a4393p-2"),
-        "bracket1.upper_j": ("0x1.b63a9085582cep+2", "0x1.1592a3544587ep-2"),
+        "ej2-enumerated": ("0x1.36ed562e57284p+3", "0x1.091e33fba5b6bp-1"),
+        "ek2-enumerated": ("0x1.d3574d8554bfcp+1", "0x1.c98b0a68f3c25p-2"),
+        "ej3-sampled": ("0x1.35c7b7ce2d6a7p+8", "0x1.f6e68e79c051bp+5"),
+        "ek3-sampled": ("0x1.9951126160164p+4", "0x1.583baf0ab63afp+5"),
+        "var": ("0x1.99dd11d23333fp+1", "0x1.1aebd5a5d338dp-3"),
+        "diff235": ("0x1.5a99ce4914da9p+1", "0x1.10bc638fb3f11p-2"),
+        "bracket1.lower_j": ("0x1.d1c14e858fea4p+0", "0x1.870fd1b7231ecp-2"),
+        "bracket1.lower_jk": ("0x1.212187636c0eap+1", "0x1.d41205ffecfddp-2"),
+        "bracket1.upper_jk": ("0x1.3687d66e65f2ep+2", "0x1.6f64d0b2bf964p-2"),
+        "bracket1.upper_j": ("0x1.ab5da9cfbb22dp+2", "0x1.1f798f0638421p-2"),
     }
 
     def test_bit_identical_on_mixed_laws(self):

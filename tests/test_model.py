@@ -379,7 +379,7 @@ class TestIntegerInputs:
         ("sample_outcomes-start", "start", lambda: jv.sample_outcomes(RAD2, 2, seed=1, start=1.0)),
         ("stream_rng-seed", "seed", lambda: mc.stream_rng(True, 1, 0)),
         ("stream_rng-tag", "stream tag", lambda: mc.stream_rng(1, 1.5, 0)),
-        ("stream_rng-index", "sample index", lambda: mc.stream_rng(1, 1, 0.5)),
+        ("stream_rng-index", "block index", lambda: mc.stream_rng(1, 1, 0.5)),
         ("McConfig-seed", "seed", lambda: jv.McConfig(seed=np.float64(2.0), outer_samples=10)),
         ("McConfig-outer_samples", "outer_samples", lambda: jv.McConfig(seed=1, outer_samples=10.0)),
         ("IndexSet-float", "coordinate index", lambda: jv.IndexSet([1.7, 2])),
