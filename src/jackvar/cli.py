@@ -62,9 +62,10 @@ FORMATS = ("json", "csv", "both")
 
 CSV_COLUMNS = ("p", "lower_J", "lower_JK", "var", "upper_JK", "upper_J")
 
-# statistic evaluations one MC run may request: 2-3 minutes at the 5e6-1e7
-# per second a run reaches on a 2-core host (binary n = 12 `sum`, 4-point
-# n = 10 `max`); the default orders of binary n = 30 would ask for 8e13
+# statistic evaluations one MC run may request: about a minute at the 2e7
+# per CPU second of full evaluations (4-point n = 10 `max`, 2-core host),
+# about 10 s at the 9e7 of replaced sets added by deltas (binary n = 12
+# `sum`); the default orders of binary n = 30 would ask for 8e13
 MC_EVALUATION_LIMIT = 10**9
 
 # the documented schema: every field each config object may hold

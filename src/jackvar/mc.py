@@ -32,14 +32,21 @@ function from a block of uniform rows to one contribution per row.
 `_contributions` draws the rows BLOCK_ROWS at a time with `_uniform_block`,
 maps each block and concatenates; `_estimate_from` reduces once.  Within a
 block the layers are: uniforms, inverse CDF (`_indices_from_uniform`),
-statistic evaluation (`Statistic.on_indices`, the only way S is evaluated,
-on index rows mixed only by `_replaced`) and the per-row contribution.
-Memory is bounded by one block of uniforms, indices and statistic values,
-plus at most ENUMERATE_SUBSET_LIMIT = 64 running differences of one block
-column per completion in an enumerated moment, plus 8 bytes per sample.
-BLOCK_ROWS is a constant, not an option, because no partition changes a
-result; that holds because every step is row-local (`Statistic.on_indices`
-uses no BLAS product, whose rounding depends on the block shape).
+statistic evaluation and the per-row contribution.  S is evaluated in one
+of two ways.  `Statistic.on_indices` evaluates whole index rows: the
+variance's draws, the bias's fresh draw, and every replaced set of `max`
+and `poly`.  `_replaced`, the one place two index blocks mix, evaluates a
+replaced set J of `table`, `sum` and `ustat2` from their per-coordinate
+term tables (`Statistic._terms`): it sums each feature over the base row
+once, as `Statistic._at` does, and adds the change at each position of J,
+so a set costs O(|J|) numpy calls in place of O(n).  Memory is bounded by
+one block of uniforms, indices and statistic values, plus for those three
+kinds one (rows, positions) array of changes per feature (two for
+`ustat2`), plus at most ENUMERATE_SUBSET_LIMIT = 64 running differences
+of one block column per completion in an enumerated moment, plus 8 bytes
+per sample.  BLOCK_ROWS is a constant, not an option, because no partition
+changes a result; that holds because every step is row-local (no BLAS
+product or row reduction, whose rounding depends on the block shape).
 
 The block generator
 -------------------
@@ -101,7 +108,7 @@ import numpy as np
 
 from .bounds import bracket_terms
 from .jackknife import factorial
-from .model import ModelError, NonFiniteError, ProductSpace, Statistic, as_index_set, as_integer
+from .model import ModelError, NonFiniteError, ProductSpace, Statistic, _accumulate, as_index_set, as_integer
 
 _MASK64 = (1 << 64) - 1
 _INT64_MAX = (1 << 63) - 1
@@ -175,7 +182,7 @@ def _uniform_block(seed: int, tag: int, start: int, count: int, width: int) -> n
     start, count = as_integer("start", start), as_integer("count", count)
     if not 0 <= start <= start + count <= 1 << 64:
         raise ModelError(
-            f"sample rows {start}..{start + count - 1} are outside the 64-bit counter word 0..2^64-1"
+            f"sample rows {start}..{start + count - 1} are outside the row range 0..2^64-1"
         )
     blocks = -(-width // 4)
     rng = stream_rng(seed, tag, start * blocks)
@@ -243,15 +250,36 @@ def _replaced(space, statistic, base, repl, positions, masks):
 
     Bit t of J stands for positions[..., t]: one (width,) column list shared
     by every row, or one (rows, width) list per row.  This is the only
-    place an estimator mixes two index blocks.
+    place an estimator mixes two index blocks.  An additive kind
+    (`Statistic._terms`) sums each feature over the base row once, as
+    `Statistic._at` does, and adds the change of J's positions to it in
+    ascending bit order, so a set costs O(|J|); `max` and `poly` evaluate
+    a mixed copy of the block.
     """
     positions = np.asarray(positions)
     rows = np.arange(base.shape[0])[:, None] if positions.ndim == 2 else slice(None)
+    terms = statistic._terms(space)
+    if terms is not None:
+        features, finish = terms
+        # each position's first entry in a feature's tables, concatenated
+        offsets = np.concatenate(([0], np.cumsum(space.shape[:-1], dtype=np.int64)))[positions]
+        at_base, at_repl = offsets + base[rows, positions], offsets + repl[rows, positions]
+        sums, deltas = [], []
+        for tables in features:
+            sums.append(_accumulate(tables, base.T))
+            flat = np.concatenate(tables)
+            deltas.append((flat[at_repl] - flat[at_base]).T.copy())  # row t: the change at position t
     for mask in masks:
-        chosen = positions[..., [t for t in range(positions.shape[-1]) if mask >> t & 1]]
-        mix = base.copy()
-        mix[rows, chosen] = repl[rows, chosen]
-        yield mask, statistic.on_indices(space, mix)
+        bits = [t for t in range(positions.shape[-1]) if mask >> t & 1]
+        if terms is None:
+            mix = base.copy()
+            mix[rows, positions[..., bits]] = repl[rows, positions[..., bits]]
+            yield mask, statistic.on_indices(space, mix)
+            continue
+        mixed = sums
+        for t in bits:
+            mixed = [total + delta[t] for total, delta in zip(mixed, deltas)]
+        yield mask, finish(*mixed)
 
 
 def _masks(width: int, k: int):
@@ -349,7 +377,10 @@ def _check_k(space: ProductSpace, k: int) -> tuple[int, float]:
 
 
 def evaluations_per_row(space: ProductSpace, family: str, k: int = 0) -> int:
-    """Statistic evaluations (`Statistic.on_indices` rows) per sample row of one estimator.
+    """Evaluations of S per sample row of one estimator: replaced sets and whole rows.
+
+    A replaced set is a `Statistic.on_indices` row for `max` and `poly` and
+    a sum of per-coordinate changes (`_replaced`) for the other kinds.
 
     family is "ej" or "ek" for the total or projected moment of order k,
     "diff" for the difference moment of a k-coordinate set, "var" or

@@ -11,10 +11,14 @@ the outcome with per-coordinate indices (i_1, ..., i_n) is
 
 which is the Fortran-order raveling of an array indexed [i_1, ..., i_n].
 
-A statistic is evaluated by one routine, `Statistic._at`, whatever asks
-for it: the exact engine passes an open grid of support indices and gets
-the joint table, the Monte Carlo engine passes sampled index rows.  Each
-kind's parameters are decoded once, when the statistic is built.
+A whole outcome is evaluated by one routine, `Statistic._at`, whatever
+asks for it: the exact engine passes an open grid of support indices and
+gets the joint table, the Monte Carlo engine passes sampled index rows.
+Three kinds (`table`, `sum`, `ustat2`) are a finish applied to sums of
+per-coordinate terms, written once as term tables (`Statistic._terms`);
+`_at` adds them up, and the Monte Carlo engine's replaced sets
+(`mc._replaced`) add the changed coordinates' terms to a base row's sums.
+Each kind's parameters are decoded once, when the statistic is built.
 
 All containers are immutable after construction; arrays are marked
 read-only, so any operation may run concurrently on shared inputs.
@@ -308,12 +312,16 @@ class Statistic:
     It also decodes the kind data once (the table as a float64 array, the
     ustat2 value-to-g map as a dict).
 
-    Each kind's formula is written once, in `_at`, and serves both the
-    exact grid (`on_grid`) and Monte Carlo rows (`on_indices`).  It is an
-    elementwise accumulation over the coordinates in ascending order, so an
-    entry reads only its own indices and gets the same operations whatever
-    the array shape.  That row-local property is what keeps Monte Carlo
-    estimates bit-identical under any block partition of the samples.
+    Each kind's formula is written once: `table`, `sum` and `ustat2` as
+    per-coordinate term tables and a finish (`_terms`), `max` and `poly` in
+    `_at`.  `_at` serves both the exact grid (`on_grid`) and Monte Carlo
+    rows (`on_indices`).  It is an elementwise accumulation over the
+    coordinates in ascending order, so an entry reads only its own indices
+    and gets the same operations whatever the array shape.  That row-local
+    property is what keeps Monte Carlo estimates bit-identical under any
+    block partition of the samples.  `mc._replaced` adds the terms of the
+    replaced coordinates to the base row's sums instead: exact for the
+    integer `table` index, a different rounding for `sum` and `ustat2`.
     """
 
     kind: str
@@ -341,9 +349,9 @@ class Statistic:
             raise ModelError(f"params.{field}[{i}]: {reals[i]!r} is not a finite real")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
-        # decoded once: _at gathers table values from _reals and maps ustat2
-        # supports through _g into the per-support arrays of _g_axes; none of
-        # the three takes part in ==, hash or pickle
+        # decoded once: _terms finishes table indices in _reals and maps
+        # ustat2 supports through _g into the per-support arrays of _g_axes;
+        # none of the three takes part in ==, hash or pickle
         object.__setattr__(self, "_reals", _readonly(arr))
         object.__setattr__(self, "_g", dict(params) if kind == "ustat2" else None)
         object.__setattr__(self, "_g_axes", {})
@@ -429,34 +437,37 @@ class Statistic:
             axis = self._g_axes[support] = _readonly([self._g[v] for v in support])
         return axis
 
+    def _terms(self, space: ProductSpace):
+        """(features, finish) of an additive kind; None for `max` and `poly`.
+
+        features[f][c] is feature f's term at each support index of
+        coordinate c+1, and S = finish(*sums) with sums[f] the `_accumulate`
+        of feature f: the int64 flat-index terms stride_c * i of `table`,
+        the terms w_c * x_c of `sum`, and g(x_c) and g(x_c)^2 of `ustat2`.
+        The tables are built per call, like the lookups of `max` and `poly`.
+        """
+        if self.kind == "table":
+            flat = [np.arange(m, dtype=np.int64) * s for m, s in zip(space.shape, space.flat_strides())]
+            return (flat,), self._reals.__getitem__
+        if self.kind == "sum":
+            return ([w * space.axis_values(c) for c, w in enumerate(self.params, 1)],), _identity
+        if self.kind == "ustat2":
+            g = [self._g_axis(d.support) for d in space.dists]
+            return (g, [v * v for v in g]), _pair_sum
+        return None
+
     def _at(self, space: ProductSpace, cols) -> np.ndarray:
         """S at support indices: cols[c] indexes coordinate c+1; the n arrays broadcast."""
-        if self.kind == "table":
-            flat = 0
-            for col, stride in zip(cols, space.flat_strides()):
-                flat = flat + col * stride
-            return self._reals[flat]
-        if self.kind == "ustat2":  # g(x_c) in place of x_c
-            lookups = [self._g_axis(d.support) for d in space.dists]
-        else:
-            lookups = [space.axis_values(c) for c in range(1, space.n + 1)]
-        values = [lookup[col] for lookup, col in zip(lookups, cols)]
+        terms = self._terms(space)
+        if terms is not None:
+            features, finish = terms
+            return finish(*(_accumulate(tables, cols) for tables in features))
+        values = [space.axis_values(c)[col] for c, col in enumerate(cols, 1)]
         if self.kind == "max":
             out = values[0]
             for v in values[1:]:
                 out = np.maximum(out, v)
             return out
-        if self.kind == "sum":  # every coordinate enters, so the sum has the full shape
-            out = 0.0
-            for w, v in zip(self.params, values):
-                out = out + w * v
-            return out
-        if self.kind == "ustat2":
-            total = total_sq = 0.0
-            for g in values:
-                total = total + g
-                total_sq = total_sq + g * g
-            return 0.5 * (total * total - total_sq)
         # poly: a term may leave coordinates out, so start from the full shape
         out = np.zeros(np.broadcast_shapes(*(np.shape(col) for col in cols)))
         for coef, exps in self.params:
@@ -466,6 +477,27 @@ class Statistic:
                     term = term * v**e
             out = out + term
         return out
+
+
+def _accumulate(tables, cols):
+    """0 + tables[c][cols[c]] over the coordinates in ascending order.
+
+    Every coordinate enters, so the sum has the full shape.  The integer 0
+    adds as 0.0 to float terms, so an all -0.0 sum is 0.0.
+    """
+    total = 0
+    for table, col in zip(tables, cols):
+        total = total + table[col]
+    return total
+
+
+def _identity(total):
+    return total
+
+
+def _pair_sum(total, total_sq):
+    """sum_{i<j} g_i g_j from T = sum g_i and Q = sum g_i^2."""
+    return 0.5 * (total * total - total_sq)
 
 
 @dataclass(frozen=True, eq=False)

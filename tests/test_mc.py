@@ -152,11 +152,11 @@ class TestUniformBlock:
         last = mc.stream_rng(1, 1, (1 << 256) - 1).random(8)
         assert last[4:].tolist() == mc.stream_rng(1, 1, 0).random(4).tolist()
 
-    def test_refuses_rows_beyond_the_counter_word(self, rad2):
+    def test_refuses_rows_beyond_the_row_range(self, rad2):
         last = jv.sample_outcomes(rad2, 1, seed=5, start=TOP)
         assert np.array_equal(last, jv.sample_outcomes(rad2, 2, seed=5, start=TOP - 1)[1:])
         for start, count in ((TOP, 2), (1 << 64, 1), (-1, 1)):
-            with pytest.raises(jv.ModelError, match="64-bit counter"):
+            with pytest.raises(jv.ModelError, match=r"outside the row range 0\.\.2\^64-1"):
                 jv.sample_outcomes(rad2, count, seed=5, start=start)
 
 
@@ -540,12 +540,20 @@ def evaluated(monkeypatch):
     return rows
 
 
+ROUNDED_KINDS = ("sum", "ustat2")  # `_replaced` adds their float terms by deltas from the base row
+ZEROS = jv.DiscreteDistribution([0.0, -0.0, 1.0], [0.25, 0.25, 0.5])  # 0.0 and -0.0 as two atoms
+DELTA_LAWS = MIXED_LAWS + [ZEROS]
+
+
 class TestSharedEvaluations:
     """The enumerated plan evaluates S once per replaced set J, not once per (subset, J)."""
 
+    # the per-subset oracle sums full evaluations; `sum` and `ustat2` add
+    # per-coordinate changes to the base row instead, which rounds differently
     @pytest.mark.parametrize("kind", KINDS)
     def test_differences_match_the_per_subset_oracle(self, kind):
         stat, n, rows = KINDS[kind], IID.n, 200
+        scale = np.abs(stat.on_grid(IID)).max()
         rng = np.random.default_rng(9)
         base, repl = rng.integers(0, 3, (rows, n)), rng.integers(0, 3, (rows, n))
         for k in range(1, n + 1):
@@ -555,19 +563,27 @@ class TestSharedEvaluations:
             assert len(shared) == len(subsets)
             for d, subset in zip(shared, subsets):
                 positions = np.broadcast_to(np.asarray(subset), (rows, k))
-                assert np.array_equal(d, alternating_eval(IID, stat, base, repl, positions)), (k, subset)
+                want = alternating_eval(IID, stat, base, repl, positions)
+                if kind in ROUNDED_KINDS:
+                    assert np.abs(d - want).max() <= 1e-12 * scale, (k, subset)
+                else:
+                    assert np.array_equal(d, want), (k, subset)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_per_row_positions_match_the_oracle(self, kind):
         # the sampled plan: one sorted k-subset of columns per row, one full mask
         stat, n, rows = KINDS[kind], IID.n, 200
+        scale = np.abs(stat.on_grid(IID)).max()
         rng = np.random.default_rng(10)
         base, repl = rng.integers(0, 3, (rows, n)), rng.integers(0, 3, (rows, n))
         for k in range(1, n + 1):
             positions = np.sort(rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)[:, :k], axis=1)
             (d,) = mc._differences(IID, stat, base, repl, positions, k, [(1 << k) - 1])
             want = alternating_eval(IID, stat, base, repl, positions)
-            assert d.tobytes() == want.tobytes(), k
+            if kind in ROUNDED_KINDS:
+                assert np.abs(d - want).max() <= 1e-12 * scale, k
+            else:
+                assert d.tobytes() == want.tobytes(), k
 
     @pytest.mark.parametrize("width", range(13))
     def test_mask_walk_lists_every_small_mask_in_order(self, width):
@@ -617,6 +633,90 @@ class TestSharedEvaluations:
 def pinned_poly(n):
     """x1 x2 - 0.5 x2^2 x3 x4 ... xn: interactions of every order up to n - 1."""
     return jv.Statistic.polynomial([(1.0, (1, 1) + (0,) * (n - 2)), (-0.5, (0, 2, 1) + (1,) * (n - 3))])
+
+
+def delta_catalog(laws):
+    """One statistic of every kind on a space of these laws, g defined at every support value."""
+    n, values = len(laws), {v for law in laws for v in law.support}  # the set keeps one of 0.0, -0.0
+    return {
+        "table": jv.Statistic.table(np.cos(np.arange(math.prod(law.size for law in laws)) * 0.37) * 5.0),
+        "sum": jv.Statistic.linear(np.linspace(2.1, -0.7, n)),
+        "max": jv.Statistic.coordinate_max(),
+        "ustat2": jv.Statistic.pair_interaction({v: math.sin(3.0 * v) + 0.5 for v in values}),
+        "poly": pinned_poly(n),
+    }
+
+
+def replaced_by_hand(base, repl, positions, mask):
+    """base with the positions of the bits of mask taken from repl, one position column at a time."""
+    rows = np.arange(base.shape[0])
+    positions = np.broadcast_to(positions, (base.shape[0], np.shape(positions)[-1]))
+    mix = base.copy()
+    for t in range(positions.shape[1]):
+        if mask >> t & 1:
+            mix[rows, positions[:, t]] = repl[rows, positions[:, t]]
+    return mix
+
+
+class TestDeltaEvaluation:
+    """`_replaced` against a full evaluation (`Statistic._at`) of each replaced block.
+
+    `table` and `max` are bit-identical (integer flat indices, comparisons),
+    `poly` too (it evaluates the mixed block); `sum` and `ustat2` add float
+    changes to the base sums and agree to 1e-12 x the largest |S|.
+    """
+
+    SPACES = {"iid": (IID, KINDS), "mixed": (jv.build_space(DELTA_LAWS), delta_catalog(DELTA_LAWS))}
+
+    @staticmethod
+    def plans(space, rng, rows):
+        """(label, base, repl, positions, masks) of every way the estimators call `_replaced`."""
+        n, high = space.n, np.asarray(space.shape)
+        base, repl = rng.integers(0, high, (rows, n)), rng.integers(0, high, (rows, n))
+        k = 3
+        per_row = np.sort(rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)[:, :k], axis=1)
+        copy = rng.integers(0, high.min(), (rows, 1))  # efron_stein_bias: one copy for every coordinate
+        cols = [1, n - 1]
+        fresh = np.zeros_like(base)  # a difference moment's copies: only its columns are drawn
+        fresh[:, cols] = repl[:, cols]
+        all_masks = list(range(1 << k))
+        return [
+            ("enumerated", base, repl, np.arange(n), list(mc._masks(n, k))),
+            ("shared", base, repl, [0, n // 2, n - 1], all_masks),
+            ("per-row", base, repl, per_row, all_masks),
+            ("bias", base, np.broadcast_to(copy, base.shape), np.arange(n), [1 << i for i in range(n)] + [0]),
+            ("diff", base, fresh, cols, [0, 1, 2, 3]),
+        ]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("space_name", SPACES)
+    def test_delta_path_matches_full_evaluation(self, evaluated, space_name, kind):
+        space, stats = self.SPACES[space_name]
+        stat = stats[kind]
+        rng = np.random.default_rng(23)
+        for label, base, repl, positions, masks in self.plans(space, rng, 300):
+            evaluated.clear()
+            got = list(mc._replaced(space, stat, base, repl, positions, masks))
+            # max and poly evaluate one mixed block per set, the other kinds none
+            assert len(evaluated) == (len(masks) if kind in ("max", "poly") else 0), label
+            assert [mask for mask, _ in got] == masks, label
+            want = [stat.on_indices(space, replaced_by_hand(base, repl, positions, mask)) for mask in masks]
+            scale = max(np.abs(w).max() for w in want)
+            for (mask, value), full in zip(got, want):
+                if kind in ROUNDED_KINDS:
+                    assert np.abs(value - full).max() <= 1e-12 * scale, (label, mask)
+                else:
+                    assert value.tobytes() == full.tobytes(), (label, mask)
+            # the empty set is the base row's own evaluation, bit for bit
+            if 0 in masks:
+                assert dict(got)[0].tobytes() == stat.on_indices(space, base).tobytes(), label
+
+    @pytest.mark.parametrize("kind", ["sum", "ustat2"])
+    def test_enumerated_moment_evaluates_no_block(self, evaluated, kind):
+        # ek1 at n = 40 enumerates 40 subsets; a fallback to evaluating mixed blocks fails here
+        space, stat = jv.build_space([LAW] * 40), catalog(40)[kind]
+        est = jv.estimate_projected_jackknife(space, stat, 1, jv.McConfig(seed=4, outer_samples=30))
+        assert evaluated == [] and est.samples == 30
 
 
 class TestPinnedEstimates:
