@@ -49,6 +49,8 @@ import sys
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__
 from .bounds import BoundsReport, bracket_terms, exact_report
 from .conditional import CondExpCache
@@ -105,12 +107,15 @@ def _need(d: dict, key: str, where: str):
     return d[key]
 
 
-def _reals(x, where: str) -> list[float]:
-    """JSON numbers as floats; booleans, strings and ints beyond float range are refused."""
+def _reals(x, where: str) -> np.ndarray:
+    """JSON numbers as one float64 array; booleans, strings and ints beyond float range are refused.
+
+    A `table` keeps its values as one read-only float64 array, which its
+    `==`, hash and pickle see as floats."""
     if not isinstance(x, list) or not set(map(type, x)) <= {int, float}:  # bool is not int here
         raise ConfigError(f"{where}: expected an array of numbers")
     try:
-        return [float(v) for v in x]
+        return np.array(x, dtype=np.float64)
     except OverflowError:
         raise ConfigError(f"{where}: expected numbers within the float range") from None
 

@@ -18,7 +18,9 @@ Three kinds (`table`, `sum`, `ustat2`) are a finish applied to sums of
 per-coordinate terms, written once as term tables (`Statistic._terms`);
 `_at` adds them up, and the Monte Carlo engine's replaced sets
 (`mc._replaced`) add the changed coordinates' terms to a base row's sums.
-Each kind's parameters are decoded once, when the statistic is built.
+Each kind's parameters are decoded and checked once, in `Statistic`'s
+constructor; a `table` keeps its values as one read-only float64 array,
+which `==`, hash and pickle see as a tuple of floats.
 
 All containers are immutable after construction; arrays are marked
 read-only, so any operation may run concurrently on shared inputs.
@@ -295,7 +297,7 @@ def build_space(dists: Sequence[DiscreteDistribution], cap: int = DEFAULT_OUTCOM
     return ProductSpace(dists, cap=cap)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Statistic:
     """A real-valued function of the n coordinates, from a fixed catalog.
 
@@ -306,11 +308,14 @@ class Statistic:
       ustat2 -- params {"g": ((value, g_value), ...)}, S = sum_{i<j} g(x_i) g(x_j)
       poly   -- params {"terms": ((coef, (e_1..e_n)), ...)}, S = sum_t c_t prod_i x_i^e_ti
 
-    Table values, weights, g values and coefficients must be finite; the
-    constructor refuses NaN and infinities once, so no evaluation rechecks.
-    It refuses a repeated ustat2 support value, which the g map would drop.
-    It also decodes the kind data once (the table as a float64 array, the
-    ustat2 value-to-g map as a dict).
+    The constructor decodes and checks params once, for every factory and
+    direct call: a table becomes one fresh read-only 1-D float64 array, the
+    other kinds tuples of floats (poly exponents non-negative integers, no
+    params for `max`).  The reals must be finite, so no evaluation rechecks,
+    and a repeated ustat2 support value, which the g map would drop, is
+    refused; `validate` checks what depends on the space.  `==`, hash and
+    pickle see `_key()`, where a table's values are a tuple of floats, so a
+    pickle holds no numpy object.
 
     Each kind's formula is written once: `table`, `sum` and `ustat2` as
     per-coordinate term tables and a finish (`_terms`), `max` and `poly` in
@@ -325,47 +330,72 @@ class Statistic:
     """
 
     kind: str
-    params: tuple
+    params: tuple | np.ndarray
 
-    def __init__(self, kind: str, params: tuple = ()):
+    def __init__(self, kind: str, params=()):
         if kind not in STATISTIC_KINDS:
             raise ModelError(f"unknown statistic kind {kind!r}; expected one of {STATISTIC_KINDS}")
-        params = tuple(params)
-        if kind == "ustat2":
+        field, reals = None, ()
+        if kind == "table":
+            params = np.array(params, dtype=np.float64)  # always a copy the caller cannot write
+            if params.ndim != 1:
+                raise ModelError(f"params.values: expected one real per outcome, got shape {params.shape}")
+            params.setflags(write=False)
+            field, reals = "values", params
+        elif kind == "sum":
+            params = tuple(float(w) for w in params)
+            field, reals = "weights", params
+        elif kind == "max":
+            params = tuple(params)
+            if params:
+                raise ModelError(f"max statistic takes no params, got {params!r}")
+        elif kind == "ustat2":
+            params = tuple((float(v), float(g)) for v, g in params)
             field, reals = "g", [g for _, g in params]
             first = {}  # support value -> its first entry; 0.0 and -0.0 are one key
             for i, (value, _) in enumerate(params):
                 j = first.setdefault(value, i)
                 if j != i:
                     raise ModelError(f"params.g[{i}]: support value {value!r} repeats params.g[{j}]")
-        elif kind == "poly":
+        else:  # poly
+            params = tuple(
+                (float(coef), tuple(as_integer("poly exponent", e) for e in exps)) for coef, exps in params
+            )
             field, reals = "terms", [coef for coef, _ in params]
-        else:  # table values or sum weights; max has no params
-            field, reals = ("values" if kind == "table" else "weights"), params
-        arr = np.asarray(reals, dtype=np.float64)
-        bad = np.flatnonzero(~np.isfinite(arr))
+            for t, (_, exps) in enumerate(params):
+                if any(e < 0 for e in exps):
+                    raise ModelError(f"poly term {t} has a negative exponent")
+        bad = np.flatnonzero(~np.isfinite(np.asarray(reals, dtype=np.float64)))
         if bad.size:
             i = int(bad[0])
-            raise ModelError(f"params.{field}[{i}]: {reals[i]!r} is not a finite real")
+            raise ModelError(f"params.{field}[{i}]: {float(reals[i])!r} is not a finite real")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
-        # decoded once: _terms finishes table indices in _reals and maps
-        # ustat2 supports through _g into the per-support arrays of _g_axes;
-        # none of the three takes part in ==, hash or pickle
-        object.__setattr__(self, "_reals", _readonly(arr))
+        # decoded once: _terms maps ustat2 supports through _g into the
+        # per-support arrays of _g_axes; neither takes part in ==, hash or pickle
         object.__setattr__(self, "_g", dict(params) if kind == "ustat2" else None)
         object.__setattr__(self, "_g_axes", {})
 
+    def _key(self) -> tuple:
+        """(kind, params) with a table's values as a tuple of floats: what ==, hash and pickle see."""
+        return self.kind, (tuple(self.params.tolist()) if self.kind == "table" else self.params)
+
+    def __eq__(self, other):
+        return isinstance(other, Statistic) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def __reduce__(self):
-        return (Statistic, (self.kind, self.params))
+        return Statistic, self._key()
 
     @classmethod
     def table(cls, values: Sequence[float]) -> "Statistic":
-        return cls("table", tuple(float(v) for v in values))
+        return cls("table", values)
 
     @classmethod
     def linear(cls, weights: Sequence[float]) -> "Statistic":
-        return cls("sum", tuple(float(w) for w in weights))
+        return cls("sum", weights)
 
     @classmethod
     def coordinate_max(cls) -> "Statistic":
@@ -373,18 +403,11 @@ class Statistic:
 
     @classmethod
     def pair_interaction(cls, g: Mapping[float, float] | Sequence) -> "Statistic":
-        if isinstance(g, Mapping):
-            items = g.items()
-        else:
-            items = g
-        return cls("ustat2", tuple((float(v), float(gv)) for v, gv in items))
+        return cls("ustat2", g.items() if isinstance(g, Mapping) else g)
 
     @classmethod
     def polynomial(cls, terms: Sequence) -> "Statistic":
-        canon = []
-        for coef, exps in terms:
-            canon.append((float(coef), tuple(as_integer("poly exponent", e) for e in exps)))
-        return cls("poly", tuple(canon))
+        return cls("poly", terms)
 
     def validate(self, space: ProductSpace) -> None:
         if self.kind == "table":
@@ -414,8 +437,6 @@ class Statistic:
                     raise ModelError(
                         f"poly term {t} has {len(exps)} exponents for n={space.n}"
                     )
-                if any(e < 0 for e in exps):
-                    raise ModelError(f"poly term {t} has a negative exponent")
 
     def on_grid(self, space: ProductSpace) -> np.ndarray:
         """Evaluate on the full joint grid; returns an array of space.shape."""
@@ -448,7 +469,7 @@ class Statistic:
         """
         if self.kind == "table":
             flat = [np.arange(m, dtype=np.int64) * s for m, s in zip(space.shape, space.flat_strides())]
-            return (flat,), self._reals.__getitem__
+            return (flat,), self.params.__getitem__
         if self.kind == "sum":
             return ([w * space.axis_values(c) for c, w in enumerate(self.params, 1)],), _identity
         if self.kind == "ustat2":

@@ -75,7 +75,7 @@ def instance_config(space, statistic) -> dict:
         "distributions": [
             {"support": list(d.support), "probs": list(d.probs)} for d in space.dists
         ],
-        "statistic": {"kind": statistic.kind, "params": {"values": list(statistic.params)}},
+        "statistic": {"kind": statistic.kind, "params": {"values": statistic.params.tolist()}},
         "engine": "exact",
     }
 

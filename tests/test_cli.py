@@ -265,6 +265,14 @@ class TestConfigErrors:
         assert rc == 1
         assert ":2:" in capsys.readouterr().err
 
+    def test_negative_poly_exponent(self, tmp_path, capsys):
+        # refused when the statistic is built, with the message validate used to give
+        doc = dict(RAD2_PROD_CONFIG)
+        doc["statistic"] = {"kind": "poly", "params": {"terms": [[1.0, [1, -1]]]}}
+        path = write_config(tmp_path, doc)
+        assert cli.main(["run", path]) == 1
+        assert capsys.readouterr().err == f"error: {path}: statistic: poly term 0 has a negative exponent\n"
+
     def test_missing_file(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "nope.json")]) == 1
 

@@ -188,7 +188,8 @@ class TestTabulate:
 
 
 class TestNonFiniteParams:
-    """Statistics refuse non-finite numbers once, at construction."""
+    """Statistics refuse non-finite numbers and malformed params once, at construction,
+    for the factories and direct constructor calls alike."""
 
     def test_table_value(self):
         with pytest.raises(jv.ModelError, match=r"params.values\[2\]"):
@@ -209,6 +210,59 @@ class TestNonFiniteParams:
     def test_direct_constructor(self):
         with pytest.raises(jv.ModelError, match="finite"):
             jv.Statistic("sum", (1.0, np.nan))
+
+    def test_max_takes_no_params(self):
+        with pytest.raises(jv.ModelError, match=r"^max statistic takes no params, got \(1.0,\)$"):
+            jv.Statistic("max", (1.0,))
+        assert jv.Statistic("max", []) == jv.Statistic.coordinate_max()
+
+    @pytest.mark.parametrize("values", [np.zeros((2, 2)), [[1.0, 2.0], [3.0, 4.0]], 1.0])
+    def test_table_must_be_one_dimensional(self, values):
+        # a 2-D array would otherwise be gathered by its flat index without complaint
+        with pytest.raises(jv.ModelError, match=r"^params.values: expected one real per outcome"):
+            jv.Statistic.table(values)
+
+    @pytest.mark.parametrize("call", [
+        lambda: jv.Statistic.polynomial([(1.0, (1, -1))]),
+        lambda: jv.Statistic("poly", ((2.0, (0, 0)), (1.0, (np.int64(-2), 1)))),
+    ], ids=["factory", "constructor"])
+    def test_negative_poly_exponent(self, call):
+        # refused before any space is seen, not first by validate
+        with pytest.raises(jv.ModelError, match=r"^poly term \d has a negative exponent$"):
+            call()
+
+    def test_direct_constructor_decodes_like_the_factory(self):
+        # the sum weight "1.5" used to reach on_grid and fail there with numpy's UFuncTypeError
+        direct, factory = jv.Statistic("sum", ("1.5", 2)), jv.Statistic.linear(("1.5", 2))
+        assert direct == factory and direct.params == (1.5, 2.0)
+        assert np.array_equal(direct.on_grid(RAD2), jv.Statistic.linear([1.5, 2.0]).on_grid(RAD2))
+        assert jv.Statistic("ustat2", [(1, 2)]).params == ((1.0, 2.0),)
+        assert jv.Statistic("poly", [(1, [np.int8(1), 0])]) == jv.Statistic.polynomial([(1.0, (1, 0))])
+
+
+class TestTableParams:
+    """A table statistic owns one read-only float64 array."""
+
+    def test_copies_its_values(self):
+        a = np.array([1.0, 2.0, 3.0, 4.0])
+        stat = jv.Statistic.table(a)
+        a[0] = 99.0
+        assert stat.params.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert jv.tabulate(stat, RAD2).values.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert a.flags.writeable
+
+    def test_read_only_float64(self):
+        stat = jv.Statistic.table([1, 2, 3, 4])
+        assert stat.params.dtype == np.float64 and stat.params.ndim == 1
+        assert not stat.params.flags.writeable
+        with pytest.raises(ValueError):
+            stat.params[0] = 5.0
+
+    def test_identity_sees_floats(self):
+        stat = jv.Statistic.table(np.array([0.5, -1.0]))
+        assert stat == jv.Statistic("table", (0.5, -1.0)) == jv.Statistic.table([0.5, -1])
+        assert hash(stat) == hash(("table", (0.5, -1.0)))
+        assert pickle.loads(pickle.dumps(stat)).params.tolist() == [0.5, -1.0]
 
 
 class TestMoments:
@@ -394,6 +448,8 @@ class TestIntegerInputs:
         ("difference-moment-scalar", "coordinate index", lambda: jv.estimate_difference_moment(RAD2, PROD, 1.0, CFG)),
         ("polynomial-float", "poly exponent", lambda: jv.Statistic.polynomial([(1.0, (1.7, 0))])),
         ("polynomial-bool", "poly exponent", lambda: jv.Statistic.polynomial([(1.0, (True, 0))])),
+        ("Statistic-poly-float", "poly exponent", lambda: jv.Statistic("poly", ((1.0, (1.5, 1)),))),
+        ("Statistic-poly-bool", "poly exponent", lambda: jv.Statistic("poly", ((1.0, (True, 1)),))),
         ("total-k", "order k", lambda: jv.estimate_iterated_jackknife(RAD2, PROD, 1.5, CFG)),
         ("projected-k", "order k", lambda: jv.estimate_projected_jackknife(RAD2, PROD, True, CFG)),
         ("estimate_bracket-p", "p", lambda: jv.estimate_bracket(RAD2, PROD, 1.0, CFG)),

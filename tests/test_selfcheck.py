@@ -67,6 +67,17 @@ def test_instance_config_replays():
     )
 
 
+def test_instance_config_replays_the_statistic():
+    from jackvar.cli import parse_config
+
+    rng = np.random.Generator(np.random.Philox(key=78))
+    for _ in range(5):
+        space, stat = random_instance(rng)
+        replayed = parse_config(instance_config(space, stat)).statistic
+        assert replayed == stat and hash(replayed) == hash(stat)
+        assert not replayed.params.flags.writeable
+
+
 def test_oracle_catches_a_wrong_mass_path(monkeypatch):
     # the series identities run on the definitional sums, so a wrong
     # mass-derived moment shows only in the oracle comparison
