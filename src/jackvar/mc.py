@@ -36,17 +36,18 @@ statistic evaluation and the per-row contribution.  S is evaluated in one
 of two ways.  `Statistic.on_indices` evaluates whole index rows: the
 variance's draws, the bias's fresh draw, and every replaced set of `max`
 and `poly`.  `_replaced`, the one place two index blocks mix, evaluates a
-replaced set J of `table`, `sum` and `ustat2` from their per-coordinate
-term tables (`Statistic._terms`): it sums each feature over the base row
-once, as `Statistic._at` does, and adds the change at each position of J,
-so a set costs O(|J|) numpy calls in place of O(n).  Memory is bounded by
-one block of uniforms, indices and statistic values, plus for those three
-kinds one (rows, positions) array of changes per feature (two for
-`ustat2`), plus at most ENUMERATE_SUBSET_LIMIT = 64 running differences
-of one block column per completion in an enumerated moment, plus 8 bytes
-per sample.  BLOCK_ROWS is a constant, not an option, because no partition
-changes a result; that holds because every step is row-local (no BLAS
-product or row reduction, whose rounding depends on the block shape).
+replaced set J of `table`, `sum` and `ustat2` from the term tables of
+`Statistic._bind` (which checks the fit): it sums each feature over the
+base row once, as `Statistic._at` does, and adds the change at each
+position of J, so a set costs O(|J|) numpy calls in place of O(n).
+Memory is bounded by one block of uniforms, indices and statistic
+values, plus for those three kinds one (rows, positions) array of
+changes per feature (two for `ustat2`), plus at most 64 running
+differences of one block column per completion in an enumerated moment,
+plus 8 bytes per sample.  BLOCK_ROWS is a constant, not an option,
+because no partition changes a result; that holds because every step is
+row-local (no BLAS product or row reduction, whose rounding depends on
+the block shape).
 
 The block generator
 -------------------
@@ -65,9 +66,10 @@ Estimator constructions
 -----------------------
 Both order-k moments sum a term over the C(n,k) coordinate subsets.  A row
 enumerates them while C(n,k) <= ENUMERATE_SUBSET_LIMIT = 64 and otherwise
-samples one, weighted by C(n,k); nothing else picks the plan.  Enumerating
-removes the subset-choice variance at C(n,k) terms per row, which 64 caps:
-n = 10 enumerates orders 1 and 2 (10 and 45 subsets) and samples order 3.
+samples one, weighted by C(n,k); `_enumerates` is that rule, and nothing
+else picks the plan.  Enumerating removes the subset-choice variance at
+C(n,k) terms per row, which 64 caps: n = 10 enumerates orders 1 and 2
+(10 and 45 subsets) and samples order 3.
 
 The moments and the bias are built from one object, S with a coordinate
 set J taken from independent copies; `_replaced` is its one evaluator.
@@ -250,17 +252,16 @@ def _replaced(space, statistic, base, repl, positions, masks):
 
     Bit t of J stands for positions[..., t]: one (width,) column list shared
     by every row, or one (rows, width) list per row.  This is the only
-    place an estimator mixes two index blocks.  An additive kind
-    (`Statistic._terms`) sums each feature over the base row once, as
-    `Statistic._at` does, and adds the change of J's positions to it in
-    ascending bit order, so a set costs O(|J|); `max` and `poly` evaluate
-    a mixed copy of the block.
+    place an estimator mixes two index blocks.  An additive kind (one
+    whose `Statistic._bind` returns a finish) sums each feature over the
+    base row once, as `Statistic._at` does, and adds the change of J's
+    positions to it in ascending bit order, so a set costs O(|J|); `max`
+    and `poly` evaluate a mixed copy of the block.
     """
     positions = np.asarray(positions)
     rows = np.arange(base.shape[0])[:, None] if positions.ndim == 2 else slice(None)
-    terms = statistic._terms(space)
-    if terms is not None:
-        features, finish = terms
+    features, finish = statistic._bind(space)
+    if finish is not None:
         # each position's first entry in a feature's tables, concatenated
         offsets = np.concatenate(([0], np.cumsum(space.shape[:-1], dtype=np.int64)))[positions]
         at_base, at_repl = offsets + base[rows, positions], offsets + repl[rows, positions]
@@ -271,7 +272,7 @@ def _replaced(space, statistic, base, repl, positions, masks):
             deltas.append((flat[at_repl] - flat[at_base]).T.copy())  # row t: the change at position t
     for mask in masks:
         bits = [t for t in range(positions.shape[-1]) if mask >> t & 1]
-        if terms is None:
+        if finish is None:
             mix = base.copy()
             mix[rows, positions[..., bits]] = repl[rows, positions[..., bits]]
             yield mask, statistic.on_indices(space, mix)
@@ -339,19 +340,24 @@ def _unrank_combinations(ranks: np.ndarray, n: int, k: int) -> np.ndarray:
     return out
 
 
+def _enumerates(n: int, k: int) -> bool:
+    """The subset plan of an order-k moment: enumerate all C(n,k) subsets (True) or sample one."""
+    return math.comb(n, k) <= ENUMERATE_SUBSET_LIMIT
+
+
 def _over_subsets(space, statistic, k: int, rank_u: np.ndarray, completions, weight: float) -> np.ndarray:
     """Unbiased per-row estimate of weight * sum over all k-subsets I of D_I D'_I.
 
     completions holds one (base, repl) pair of index blocks, whose
     alternating difference D_I is squared, or two, whose D_I are
-    multiplied.  Up to ENUMERATE_SUBSET_LIMIT subsets all are enumerated
-    and the products summed in itertools.combinations order; past it a row
+    multiplied.  Where `_enumerates(n, k)`, all subsets are enumerated and
+    the products summed in itertools.combinations order; otherwise a row
     takes the subset of lexicographic rank floor(rank_u * C(n,k)), weighted
     by C(n,k).
     """
     n = space.n
     n_subsets = math.comb(n, k)
-    if n_subsets <= ENUMERATE_SUBSET_LIMIT:
+    if _enumerates(n, k):
         subsets = [sum(1 << c for c in s) for s in itertools.combinations(range(n), k)]
         diffs = [_differences(space, statistic, base, repl, np.arange(n), k, subsets) for base, repl in completions]
         total = np.zeros(rank_u.shape[0])
@@ -379,14 +385,14 @@ def _check_k(space: ProductSpace, k: int) -> tuple[int, float]:
 def evaluations_per_row(space: ProductSpace, family: str, k: int = 0) -> int:
     """Evaluations of S per sample row of one estimator: replaced sets and whole rows.
 
-    A replaced set is a `Statistic.on_indices` row for `max` and `poly` and
-    a sum of per-coordinate changes (`_replaced`) for the other kinds.
+    A replaced set is a `Statistic.on_indices` row for `max` and `poly`, and
+    a sum of changes from `Statistic._bind`'s tables (`_replaced`) otherwise.
 
     family is "ej" or "ek" for the total or projected moment of order k,
     "diff" for the difference moment of a k-coordinate set, "var" or
     "bias".  A moment evaluates S once per replaced set of at most k of its
-    `width` positions (`_differences`): all n for an enumerated order, the
-    k sampled or given ones otherwise; a projected moment does so for each
+    `width` positions (`_differences`): all n where `_enumerates`, the k
+    sampled or given ones otherwise; a projected moment does so for each
     of its two completions.  An order the moment estimators refuse raises
     here as it does there.
     """
@@ -400,7 +406,7 @@ def evaluations_per_row(space: ProductSpace, family: str, k: int = 0) -> int:
     else:
         completions = {"ej": 1, "ek": 2}[family]
         k, _ = _check_k(space, k)
-        width = n if math.comb(n, k) <= ENUMERATE_SUBSET_LIMIT else k
+        width = n if _enumerates(n, k) else k
     return completions * sum(math.comb(width, j) for j in range(k + 1))
 
 

@@ -11,16 +11,16 @@ the outcome with per-coordinate indices (i_1, ..., i_n) is
 
 which is the Fortran-order raveling of an array indexed [i_1, ..., i_n].
 
-A whole outcome is evaluated by one routine, `Statistic._at`, whatever
-asks for it: the exact engine passes an open grid of support indices and
-gets the joint table, the Monte Carlo engine passes sampled index rows.
-Three kinds (`table`, `sum`, `ustat2`) are a finish applied to sums of
-per-coordinate terms, written once as term tables (`Statistic._terms`);
-`_at` adds them up, and the Monte Carlo engine's replaced sets
-(`mc._replaced`) add the changed coordinates' terms to a base row's sums.
-Each kind's parameters are decoded and checked once, in `Statistic`'s
-constructor; a `table` keeps its values as one read-only float64 array,
-which `==`, hash and pickle see as a tuple of floats.
+A whole outcome is evaluated by one routine, `Statistic._at`, from the
+tables of `Statistic._bind`, the one place a statistic reads a space and
+is checked against it: the exact engine passes an open grid of support
+indices and gets the joint table, the Monte Carlo engine passes sampled
+index rows.  Three kinds (`table`, `sum`, `ustat2`) are a finish applied
+to sums of per-coordinate terms; `_at` adds them up, and the Monte Carlo
+engine's replaced sets (`mc._replaced`) add the changed coordinates'
+terms to a base row's sums.  Each kind's parameters are decoded and
+checked once, in `Statistic`'s constructor; a `table` keeps its values as
+one read-only float64 array, which `==`, hash and pickle see as floats.
 
 All containers are immutable after construction; arrays are marked
 read-only, so any operation may run concurrently on shared inputs.
@@ -28,6 +28,7 @@ read-only, so any operation may run concurrently on shared inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -68,6 +69,15 @@ def as_integer(what: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ModelError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _pair(what: str, expected: str, value) -> tuple:
+    """`value` unpacked into two items, or a ModelError naming `what`."""
+    try:
+        first, second = value
+    except (TypeError, ValueError):
+        raise ModelError(f"{what}: expected {expected}, got {value!r}") from None
+    return first, second
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -313,20 +323,20 @@ class Statistic:
     other kinds tuples of floats (poly exponents non-negative integers, no
     params for `max`).  The reals must be finite, so no evaluation rechecks,
     and a repeated ustat2 support value, which the g map would drop, is
-    refused; `validate` checks what depends on the space.  `==`, hash and
-    pickle see `_key()`, where a table's values are a tuple of floats, so a
-    pickle holds no numpy object.
+    refused.  `==`, hash and pickle see `_key()`, where a table's values
+    are a tuple of floats, so a pickle holds no numpy object.
 
-    Each kind's formula is written once: `table`, `sum` and `ustat2` as
-    per-coordinate term tables and a finish (`_terms`), `max` and `poly` in
-    `_at`.  `_at` serves both the exact grid (`on_grid`) and Monte Carlo
-    rows (`on_indices`).  It is an elementwise accumulation over the
-    coordinates in ascending order, so an entry reads only its own indices
-    and gets the same operations whatever the array shape.  That row-local
-    property is what keeps Monte Carlo estimates bit-identical under any
-    block partition of the samples.  `mc._replaced` adds the terms of the
-    replaced coordinates to the base row's sums instead: exact for the
-    integer `table` index, a different rounding for `sum` and `ustat2`.
+    `_bind`, the one method that reads a space, checks the fit and writes
+    each kind's formula as per-coordinate tables, which `validate`,
+    `on_grid`, `on_indices` and `mc._replaced` all start from.  `_at`
+    evaluates them for the exact grid and Monte Carlo rows alike, as an
+    elementwise accumulation over the coordinates in ascending order, so
+    an entry reads only its own indices and gets the same operations
+    whatever the array shape.  That row-local property is what keeps Monte
+    Carlo estimates bit-identical under any block partition of the
+    samples.  `mc._replaced` adds the terms of the replaced coordinates to
+    the base row's sums instead: exact for the integer `table` index, a
+    different rounding for `sum` and `ustat2`.
     """
 
     kind: str
@@ -337,7 +347,10 @@ class Statistic:
             raise ModelError(f"unknown statistic kind {kind!r}; expected one of {STATISTIC_KINDS}")
         field, reals = None, ()
         if kind == "table":
-            params = np.array(params, dtype=np.float64)  # always a copy the caller cannot write
+            try:
+                params = np.array(params, dtype=np.float64)  # always a copy the caller cannot write
+            except (TypeError, ValueError) as e:  # ragged or not numbers
+                raise ModelError(f"params.values: expected one real per outcome ({e})") from None
             if params.ndim != 1:
                 raise ModelError(f"params.values: expected one real per outcome, got shape {params.shape}")
             params.setflags(write=False)
@@ -350,7 +363,8 @@ class Statistic:
             if params:
                 raise ModelError(f"max statistic takes no params, got {params!r}")
         elif kind == "ustat2":
-            params = tuple((float(v), float(g)) for v, g in params)
+            pairs = [_pair(f"params.g[{i}]", "(value, g_value)", pair) for i, pair in enumerate(params)]
+            params = tuple((float(v), float(g)) for v, g in pairs)
             field, reals = "g", [g for _, g in params]
             first = {}  # support value -> its first entry; 0.0 and -0.0 are one key
             for i, (value, _) in enumerate(params):
@@ -358,23 +372,25 @@ class Statistic:
                 if j != i:
                     raise ModelError(f"params.g[{i}]: support value {value!r} repeats params.g[{j}]")
         else:  # poly
-            params = tuple(
-                (float(coef), tuple(as_integer("poly exponent", e) for e in exps)) for coef, exps in params
-            )
-            field, reals = "terms", [coef for coef, _ in params]
-            for t, (_, exps) in enumerate(params):
+            terms = []
+            for t, term in enumerate(params):
+                coef, exps = _pair(f"params.terms[{t}]", "(coef, exponents)", term)
+                if not isinstance(exps, Iterable):
+                    raise ModelError(f"params.terms[{t}]: expected (coef, exponents), got {term!r}")
+                coef, exps = float(coef), tuple(as_integer("poly exponent", e) for e in exps)
                 if any(e < 0 for e in exps):
                     raise ModelError(f"poly term {t} has a negative exponent")
+                terms.append((coef, exps))
+            params = tuple(terms)
+            field, reals = "terms", [coef for coef, _ in params]
         bad = np.flatnonzero(~np.isfinite(np.asarray(reals, dtype=np.float64)))
         if bad.size:
             i = int(bad[0])
             raise ModelError(f"params.{field}[{i}]: {float(reals[i])!r} is not a finite real")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
-        # decoded once: _terms maps ustat2 supports through _g into the
-        # per-support arrays of _g_axes; neither takes part in ==, hash or pickle
+        # the ustat2 value map `_bind` reads; it takes no part in ==, hash or pickle
         object.__setattr__(self, "_g", dict(params) if kind == "ustat2" else None)
-        object.__setattr__(self, "_g_axes", {})
 
     def _key(self) -> tuple:
         """(kind, params) with a table's values as a tuple of floats: what ==, hash and pickle see."""
@@ -409,39 +425,55 @@ class Statistic:
     def polynomial(cls, terms: Sequence) -> "Statistic":
         return cls("poly", terms)
 
-    def validate(self, space: ProductSpace) -> None:
+    def _bind(self, space: ProductSpace):
+        """(tables, finish) of S on `space`: the one method that reads a space.
+
+        Raises `ModelError` if the statistic does not fit.  For `table`,
+        `sum` and `ustat2`, S = finish(*sums), sums[f] the `_accumulate` of
+        feature f, whose tables[f][c] holds its term at each support index of
+        coordinate c+1: stride_c * i (int64) for `table`, w_c * x_c for
+        `sum`, g(x_c) and g(x_c)^2 for `ustat2`.  For `max` the tables are
+        the support values, for `poly` (coef, [x_c^e, None where e = 0]) per
+        term, and finish is None.
+        """
         if self.kind == "table":
             if len(self.params) != space.n_outcomes:
-                raise ModelError(
-                    f"table statistic has {len(self.params)} values, "
-                    f"space has {space.n_outcomes} outcomes"
-                )
-        elif self.kind == "sum":
+                raise ModelError(f"table statistic has {len(self.params)} values, space has {space.n_outcomes} outcomes")
+            flat = [np.arange(m, dtype=np.int64) * s for m, s in zip(space.shape, space.flat_strides())]
+            return (flat,), self.params.__getitem__
+        if self.kind == "sum":
             if len(self.params) != space.n:
-                raise ModelError(
-                    f"sum statistic has {len(self.params)} weights for n={space.n}"
-                )
-        elif self.kind == "ustat2":
+                raise ModelError(f"sum statistic has {len(self.params)} weights for n={space.n}")
+            return ([w * space.axis_values(c) for c, w in enumerate(self.params, 1)],), lambda total: total
+        if self.kind == "ustat2":
             if space.n < 2:
                 raise ModelError("ustat2 needs at least two coordinates")
-            for c in range(1, space.n + 1):
-                for v in space.dists[c - 1].support:
-                    if v not in self._g:
-                        raise ModelError(
-                            f"ustat2 value map has no entry for support value {v!r} "
-                            f"of coordinate {c}"
-                        )
-        elif self.kind == "poly":
-            for t, (_, exps) in enumerate(self.params):
-                if len(exps) != space.n:
-                    raise ModelError(
-                        f"poly term {t} has {len(exps)} exponents for n={space.n}"
-                    )
+            axes = {}  # support -> g at each of its values, built once per distinct support
+            for c, d in enumerate(space.dists, 1):
+                if d.support not in axes:
+                    try:
+                        axes[d.support] = _readonly([self._g[v] for v in d.support])
+                    except KeyError as missing:
+                        raise ModelError(f"ustat2 value map has no entry for support value {missing.args[0]!r} "
+                                         f"of coordinate {c}") from None
+            g = [axes[d.support] for d in space.dists]
+            # sum_{i<j} g_i g_j from T = sum g_i and Q = sum g_i^2
+            return (g, [v * v for v in g]), lambda total, total_sq: 0.5 * (total * total - total_sq)
+        if self.kind == "max":
+            return [space.axis_values(c) for c in range(1, space.n + 1)], None
+        for t, (_, exps) in enumerate(self.params):
+            if len(exps) != space.n:
+                raise ModelError(f"poly term {t} has {len(exps)} exponents for n={space.n}")
+        return [(coef, [space.axis_values(c) ** e if e else None for c, e in enumerate(exps, 1)])
+                for coef, exps in self.params], None
+
+    def validate(self, space: ProductSpace) -> None:
+        """Raise `ModelError` unless the statistic fits `space`."""
+        self._bind(space)
 
     def on_grid(self, space: ProductSpace) -> np.ndarray:
         """Evaluate on the full joint grid; returns an array of space.shape."""
-        self.validate(space)
-        return self._at(space, space.open_grid)
+        return self._at(self._bind(space), space.open_grid)  # the fit is checked before the grid size
 
     def on_indices(self, space: ProductSpace, idx: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at per-coordinate support indices.
@@ -449,53 +481,22 @@ class Statistic:
         idx has shape (N, n); returns shape (N,).  This is the path the
         Monte Carlo engine uses, so it never materializes the joint grid.
         """
-        return self._at(space, np.asarray(idx).T)
+        return self._at(self._bind(space), np.asarray(idx).T)
 
-    def _g_axis(self, support: tuple) -> np.ndarray:
-        """g at each support value, built once per support and then reused."""
-        axis = self._g_axes.get(support)
-        if axis is None:
-            axis = self._g_axes[support] = _readonly([self._g[v] for v in support])
-        return axis
-
-    def _terms(self, space: ProductSpace):
-        """(features, finish) of an additive kind; None for `max` and `poly`.
-
-        features[f][c] is feature f's term at each support index of
-        coordinate c+1, and S = finish(*sums) with sums[f] the `_accumulate`
-        of feature f: the int64 flat-index terms stride_c * i of `table`,
-        the terms w_c * x_c of `sum`, and g(x_c) and g(x_c)^2 of `ustat2`.
-        The tables are built per call, like the lookups of `max` and `poly`.
-        """
-        if self.kind == "table":
-            flat = [np.arange(m, dtype=np.int64) * s for m, s in zip(space.shape, space.flat_strides())]
-            return (flat,), self.params.__getitem__
-        if self.kind == "sum":
-            return ([w * space.axis_values(c) for c, w in enumerate(self.params, 1)],), _identity
-        if self.kind == "ustat2":
-            g = [self._g_axis(d.support) for d in space.dists]
-            return (g, [v * v for v in g]), _pair_sum
-        return None
-
-    def _at(self, space: ProductSpace, cols) -> np.ndarray:
-        """S at support indices: cols[c] indexes coordinate c+1; the n arrays broadcast."""
-        terms = self._terms(space)
-        if terms is not None:
-            features, finish = terms
-            return finish(*(_accumulate(tables, cols) for tables in features))
-        values = [space.axis_values(c)[col] for c, col in enumerate(cols, 1)]
+    def _at(self, binding, cols) -> np.ndarray:
+        """S from `_bind`'s tables at support indices: cols[c] indexes coordinate c+1; the n arrays broadcast."""
+        tables, finish = binding
+        if finish is not None:
+            return finish(*(_accumulate(feature, cols) for feature in tables))
         if self.kind == "max":
-            out = values[0]
-            for v in values[1:]:
-                out = np.maximum(out, v)
-            return out
+            return functools.reduce(np.maximum, [values[col] for values, col in zip(tables, cols)])
         # poly: a term may leave coordinates out, so start from the full shape
         out = np.zeros(np.broadcast_shapes(*(np.shape(col) for col in cols)))
-        for coef, exps in self.params:
+        for coef, powers in tables:
             term = coef
-            for e, v in zip(exps, values):
-                if e:
-                    term = term * v**e
+            for power, col in zip(powers, cols):
+                if power is not None:
+                    term = term * power[col]
             out = out + term
         return out
 
@@ -510,15 +511,6 @@ def _accumulate(tables, cols):
     for table, col in zip(tables, cols):
         total = total + table[col]
     return total
-
-
-def _identity(total):
-    return total
-
-
-def _pair_sum(total, total_sq):
-    """sum_{i<j} g_i g_j from T = sum g_i and Q = sum g_i^2."""
-    return 0.5 * (total * total - total_sq)
 
 
 @dataclass(frozen=True, eq=False)

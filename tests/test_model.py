@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import hashlib
+import math
 import pickle
 
 import numpy as np
@@ -231,6 +233,19 @@ class TestNonFiniteParams:
         with pytest.raises(jv.ModelError, match=r"^poly term \d has a negative exponent$"):
             call()
 
+    @pytest.mark.parametrize("field, call", [pytest.param(field, call, id=name) for name, field, call in [
+        ("poly-no-exponents", r"params.terms\[0\]", lambda: jv.Statistic.polynomial([(1.0,)])),
+        ("poly-scalar-exponents", r"params.terms\[1\]",
+         lambda: jv.Statistic.polynomial([(1.0, (1, 0)), (1.0, 2)])),
+        ("ustat2-triple", r"params.g\[0\]", lambda: jv.Statistic.pair_interaction([(1.0, 2.0, 3.0)])),
+        ("ustat2-scalar", r"params.g\[0\]", lambda: jv.Statistic.pair_interaction([1.0])),
+        ("table-ragged", r"params.values", lambda: jv.Statistic.table([[1.0], [2.0, 3.0]])),
+    ]])
+    def test_malformed_shape_names_the_field(self, field, call):
+        # each used to raise a bare ValueError or TypeError from unpacking or numpy
+        with pytest.raises(jv.ModelError, match=f"^{field}: expected "):
+            call()
+
     def test_direct_constructor_decodes_like_the_factory(self):
         # the sum weight "1.5" used to reach on_grid and fail there with numpy's UFuncTypeError
         direct, factory = jv.Statistic("sum", ("1.5", 2)), jv.Statistic.linear(("1.5", 2))
@@ -396,6 +411,66 @@ class TestOnIndices:
         )
 
 
+# (id, statistic, message) on binary n = 3: each statistic does not fit the space
+MISFITS = [
+    ("table", jv.Statistic.table([1.0, 2.0, 3.0, 4.0]), "table statistic has 4 values, space has 8 outcomes"),
+    ("sum", jv.Statistic.linear([1.0, 2.0]), "sum statistic has 2 weights for n=3"),
+    ("ustat2", jv.Statistic.pair_interaction({1.0: 1.0}),
+     "ustat2 value map has no entry for support value -1.0 of coordinate 1"),
+    ("poly", jv.Statistic.polynomial([(1.0, (1, 1))]), "poly term 0 has 2 exponents for n=3"),
+]
+
+
+class TestBinding:
+    """Every evaluation checks that the statistic fits its space (`Statistic._bind`).
+
+    `max` takes any space, so it has no misfit; the other kinds fail alike
+    wherever S is evaluated, with `validate`'s message."""
+
+    SPACE = jv.build_space([RAD] * 3)
+
+    @staticmethod
+    def entry_points(space, stat):
+        rows = np.zeros((4, space.n), dtype=np.int64)
+        return {
+            "validate": lambda: stat.validate(space),
+            "on_grid": lambda: stat.on_grid(space),
+            "on_indices": lambda: stat.on_indices(space, rows),
+            "_replaced": lambda: list(mc._replaced(space, stat, rows, rows + 1, np.arange(space.n), [0, 1])),
+            "estimate_variance": lambda: jv.estimate_variance(space, stat, jv.McConfig(seed=1, outer_samples=4)),
+        }
+
+    @pytest.mark.parametrize("stat, message", [pytest.param(*c[1:], id=c[0]) for c in MISFITS])
+    def test_every_evaluation_refuses_a_misfit(self, stat, message):
+        # on_indices and _replaced evaluated a misfit without the check: a sum
+        # with too few weights dropped coordinate 3, a short table gathered
+        # past its values, a missing ustat2 entry died with a bare KeyError
+        for name, call in self.entry_points(self.SPACE, stat).items():
+            with pytest.raises(jv.ModelError) as refused:
+                call()
+            assert str(refused.value) == message, name
+
+    def test_ustat2_needs_two_coordinates(self):
+        stat = jv.Statistic.pair_interaction({-1.0: 1.0, 1.0: 2.0})
+        for call in self.entry_points(jv.build_space([RAD]), stat).values():
+            with pytest.raises(jv.ModelError, match="^ustat2 needs at least two coordinates$"):
+                call()
+
+    def test_max_fits_every_space(self):
+        stat = jv.Statistic.coordinate_max()
+        for space in (jv.build_space([RAD]), self.SPACE):
+            for call in self.entry_points(space, stat).values():
+                call()
+
+    def test_on_grid_checks_the_fit_before_the_grid_size(self):
+        # binary n = 25 is past the default cap: the weights are named, not the grid
+        with pytest.raises(jv.ModelError, match="^sum statistic has 3 weights for n=25$") as refused:
+            jv.Statistic.linear([1.0, 2.0, 3.0]).on_grid(jv.build_space([RAD] * 25))
+        assert not isinstance(refused.value, GridSizeError)
+        with pytest.raises(GridSizeError):
+            jv.Statistic.linear([1.0] * 25).on_grid(jv.build_space([RAD] * 25))
+
+
 class TestStatisticIdentity:
     """==, hash and pickle see (kind, params) only, not the arrays decoded from them."""
 
@@ -415,6 +490,103 @@ class TestStatisticIdentity:
     def test_params_decide_equality(self):
         assert jv.Statistic.table([1.0, 2.0]) != jv.Statistic.table([1.0, 3.0])
         assert jv.Statistic.table([1.0]) != jv.Statistic.linear([1.0])
+
+
+# three non-iid spaces with dyadic supports, so every power x^e is exact
+# whatever pow the platform uses: a zero-probability atom, 0.0 and -0.0 as
+# two atoms and a point mass; six coordinates of sizes 1 to 4; and one
+# 24-point axis
+PIN_LAWS = {
+    "signed-zeros": [
+        jv.DiscreteDistribution([-1.0, 0.5, 2.0], [0.5, 0.0, 0.5]),
+        jv.DiscreteDistribution([0.0, -0.0, 1.0], [0.25, 0.25, 0.5]),
+        jv.DiscreteDistribution([-1.5, 0.25, 0.75, 3.0], [0.1, 0.2, 0.3, 0.4]),
+        jv.DiscreteDistribution.point_mass(-2.0),
+    ],
+    "wide": [
+        RAD,
+        jv.DiscreteDistribution([0.5, -2.0, 1.25], [0.2, 0.5, 0.3]),
+        jv.DiscreteDistribution.point_mass(2.0),
+        jv.DiscreteDistribution([-0.75, 0.25], [0.9, 0.1]),
+        jv.DiscreteDistribution([1.0, 3.0, -0.5, 0.125], [0.25] * 4),
+        jv.DiscreteDistribution([-0.25, 1.5, 0.0], [0.3, 0.3, 0.4]),
+    ],
+    "long-axis": [
+        jv.DiscreteDistribution.uniform([k / 8.0 - 2.0 for k in range(24)]),
+        jv.DiscreteDistribution([4.0, -1.0], [0.5, 0.5]),
+        jv.DiscreteDistribution.uniform([k / 4.0 - 1.0 for k in range(9)]),
+    ],
+}
+
+
+def pin_catalog(laws):
+    """One statistic of every kind fitting these laws, from rational arithmetic only."""
+    n, outcomes = len(laws), math.prod(law.size for law in laws)
+    values = {v for law in laws for v in law.support}  # the set keeps one of 0.0, -0.0
+    return {
+        "table": jv.Statistic.table([(37 * i % 101) / 7.0 - 6.0 for i in range(outcomes)]),
+        "sum": jv.Statistic.linear([(5 * c % 7) / 3.0 - 1.1 for c in range(n)]),
+        "max": jv.Statistic.coordinate_max(),
+        "ustat2": jv.Statistic.pair_interaction({v: v / 3.0 + 0.7 for v in values}),
+        "poly": jv.Statistic.polynomial([
+            (0.3, tuple(c % 4 for c in range(n))),
+            (-1.0 / 7.0, tuple((c + 2) % 3 for c in range(n))),
+            (2.5, (0,) * n),
+        ]),
+    }
+
+
+def pin_rows(space, count=50):
+    """(count, n) fixed index rows: row r, coordinate c is (r (2c + 3) + c) mod m_c."""
+    return np.array([[(r * (2 * c + 3) + c) % m for c, m in enumerate(space.shape)] for r in range(count)])
+
+
+class TestEvaluationPins:
+    """SHA-256 of the bytes of `on_grid` and of `on_indices` on fixed rows.
+
+    A change to how a statistic is evaluated that moves any bit of S fails
+    here, before any moment built from S does.
+    """
+
+    PINNED = {
+        ("signed-zeros", "table"): ("b5c974514f9bdd2fab42baada982cf7bf36968e2fe036a40d89e6a55837c9549",
+                                    "9d8f9ada13fc7b1e68450356797bee9711e65b26172958adfd06a5dbdc2b815e"),
+        ("signed-zeros", "sum"): ("1debbba36a2abcf2b8ab204587ec63eaa31249f2f0f95b8a764bcf8e01d706ab",
+                                  "cdf6b354344f26641b80e94404937f84d46fbb89377da0bab700f2fd7489048d"),
+        ("signed-zeros", "max"): ("d2d81150aba47f75e2ec9506c0c4c0cb68704b83b08079acf58441c2782e72b1",
+                                  "22f48f571cf51187649457d66096025400bba296440c826d183c2670827928d5"),
+        ("signed-zeros", "ustat2"): ("bca0321062fd3a57d20ea1bf40903c53746cf5771c4ff8f405b2bdce2624b39f",
+                                     "c1c811e92438db5944e6b6d12b9c32d37ea3a5a7c09ee76089646e00eaa52f31"),
+        ("signed-zeros", "poly"): ("24f258e34189812de50896fd3934bf2c341b5a65abbed29951059ff1ded6ab86",
+                                   "da0a27d540cde53faa80210bdeadf9963545785dfa2283ae790b2a2744c9a329"),
+        ("wide", "table"): ("cb095a55a25f7c1fb3416f845cd0d63ebb6a677382a71cdb8c2c373af085d018",
+                            "987fb9f6abffedfaf5e44db164313d5ee1b1b52d9e47e213e114533dba96562e"),
+        ("wide", "sum"): ("68f1d924db26749b927a1def7858d58616a19c16c35a3278cb71e51433d0413d",
+                          "61f62ad9f93d1f66bdabfaa72215ba1e4cebaab7ef30a1349c337c8202d85832"),
+        ("wide", "max"): ("cf323301a642144342b964c00c3248cb7c4d1970df58359e7fb1c41ab2226d42",
+                          "a4b46ea1f0dc4b18ebf6f2dc3efb1e39d459dec8530b05174431b7b85aad048b"),
+        ("wide", "ustat2"): ("4fd399a92edd8acaf71ab2639cbeb17a1842771ba1671f26171214e89e72e41e",
+                             "bd9a2436e64f434e48c6c01f24425c384b03a300c4f95e54f2f30c84d98662d2"),
+        ("wide", "poly"): ("ea7ed1986d18a4d72a79653c1d2e04aa8428fdac24d22d8ffca9365ef0698c14",
+                           "56a620811602706708b7f3f2c94a0b032c1bc5a10012a43550669378b9f3903f"),
+        ("long-axis", "table"): ("60ac214688cb910b4b18fcdd25cf3b63416fa96ad5fbb487bb9e1584dcca79bd",
+                                 "68e7bd71ba150d17f19bf790323c3b85673f96d5fefaff58ac5569595a191231"),
+        ("long-axis", "sum"): ("e3aaa248b147e58c8adae2cd8dc541353f060a7cc885fe0b3b87be57e572ea0e",
+                               "c7dbd4d5f9c633e60c07fad07fa6839f4fba369ce5a68277b5237946930743e6"),
+        ("long-axis", "max"): ("a26723b5d563a95567e73d8bbcd355f8e494239bddec623357e6b5102b8a5744",
+                               "3d752f8b902f2110e736c4ff2083cdc062aaf7d04f2586d5afee26c352174f23"),
+        ("long-axis", "ustat2"): ("081fdc141801c2258bada186fb85b0c65929abec17a7906f9d0aadf528604840",
+                                  "d1167cc432cfa958478b622e00c6bae0ac98c7fd024b8f1d44e317f3b7e3c7ea"),
+        ("long-axis", "poly"): ("8c59008c25ecf773f57ffa0fd4ab5a0c1a55d694debb609f1de0f8a48b987830",
+                                "fed61497a8fad34293d701dc56dd46562e65a904c6f2ec0b0c49df5da5b674e4"),
+    }
+
+    @pytest.mark.parametrize("laws, kind", PINNED)
+    def test_bit_identical(self, laws, kind):
+        space, stat = jv.build_space(PIN_LAWS[laws]), pin_catalog(PIN_LAWS[laws])[kind]
+        got = (hashlib.sha256(stat.on_grid(space).tobytes()).hexdigest(),
+               hashlib.sha256(stat.on_indices(space, pin_rows(space)).tobytes()).hexdigest())
+        assert got == self.PINNED[laws, kind]
 
 
 RAD2 = jv.build_space([RAD, RAD])
