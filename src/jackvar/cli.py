@@ -29,7 +29,11 @@ statistic params per kind:
   ustat2 {"g": [[support_value, g_value], ...]}
   poly   {"terms": [[coef, [e_1..e_n]], ...]}
 
-A field outside this schema is refused (exit 1), never ignored.  `mc.ks`
+A field outside this schema is refused (exit 1), never ignored.  Values
+are decoded by the constructors they feed, and a refusal follows the
+field's place ("distributions[0]: support: ...").  JSON has one number
+type, so the integer fields (`mc.seed`, `mc.outer_samples`, `mc.ks`,
+`bounds.p_values`, poly exponents) take 2.0 as 2 and refuse 1.7.  `mc.ks`
 and `bounds.p_values` name every order (ks 1..n, p_values 1..n//2) when
 absent, null or "all", and otherwise list distinct orders.  An MC run
 whose samples times statistic evaluations per row, summed over the
@@ -49,13 +53,11 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
 from .bounds import BoundsReport, bracket_terms, exact_report
 from .conditional import CondExpCache
 from .mc import McConfig, assemble_bracket, estimate_variance, evaluations_per_row, moment_estimates
-from .model import DiscreteDistribution, ModelError, NonFiniteError, ProductSpace, \
+from .model import STATISTIC_PARAMS, DiscreteDistribution, ModelError, NonFiniteError, ProductSpace, \
     Statistic, build_space, tabulate
 from .selfcheck import run_battery
 
@@ -72,10 +74,7 @@ MC_EVALUATION_LIMIT = 10**9
 
 # the documented schema: every field each config object may hold
 ROOT_FIELDS = ("distributions", "statistic", "engine", "mc", "bounds", "output")
-MC_FIELDS = ("seed", "outer_samples", "ks")
-STATISTIC_PARAMS = {
-    "table": ("values",), "sum": ("weights",), "max": (), "ustat2": ("g",), "poly": ("terms",),
-}
+MC_FIELDS = ("seed", "outer_samples", "ks")  # and model.STATISTIC_PARAMS, each kind's params fields
 
 
 class ConfigError(ValueError):
@@ -107,19 +106,6 @@ def _need(d: dict, key: str, where: str):
     return d[key]
 
 
-def _reals(x, where: str) -> np.ndarray:
-    """JSON numbers as one float64 array; booleans, strings and ints beyond float range are refused.
-
-    A `table` keeps its values as one read-only float64 array, which its
-    `==`, hash and pickle see as floats."""
-    if not isinstance(x, list) or not set(map(type, x)) <= {int, float}:  # bool is not int here
-        raise ConfigError(f"{where}: expected an array of numbers")
-    try:
-        return np.array(x, dtype=np.float64)
-    except OverflowError:
-        raise ConfigError(f"{where}: expected numbers within the float range") from None
-
-
 def _integer(x, where: str) -> int:
     """An int, or a float with an integral value; anything else is refused, never rounded."""
     if isinstance(x, float) and x.is_integer():  # False for NaN and Infinity
@@ -146,7 +132,8 @@ def _orders(x, top: int, where: str, name: str) -> tuple[int, ...]:
     return orders
 
 
-def _parse_statistic(d, where: str) -> Statistic:
+def _parse_statistic(d, where: str, space: ProductSpace) -> Statistic:
+    """The statistic built by its constructor and checked against `space`."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: expected an object")
     _known(d, ("kind", "params"), where)
@@ -154,39 +141,23 @@ def _parse_statistic(d, where: str) -> Statistic:
     params = d.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"{where}.params: expected an object")
-    if kind in STATISTIC_PARAMS:
-        _known(params, STATISTIC_PARAMS[kind], f"{where}.params")
+    if not isinstance(kind, str) or kind not in STATISTIC_PARAMS:  # a list or an object is no kind either
+        raise ConfigError(f"{where}.kind: unknown statistic kind {kind!r}")
+    fields = STATISTIC_PARAMS[kind]
+    _known(params, fields, f"{where}.params")
+    values = [_need(params, field, f"{where}.params") for field in fields]
+    if kind == "poly" and isinstance(values[0], list):  # JSON has one number type: exponent 2.0 is the integer 2
+        values[0] = [
+            [term[0], [_integer(e, f"{where}.params.terms[{t}]") for e in term[1]]]
+            if isinstance(term, list) and len(term) == 2 and isinstance(term[1], list) else term
+            for t, term in enumerate(values[0])
+        ]
     try:
-        if kind == "table":
-            return Statistic.table(_reals(_need(params, "values", f"{where}.params"), f"{where}.params.values"))
-        if kind == "sum":
-            return Statistic.linear(_reals(_need(params, "weights", f"{where}.params"), f"{where}.params.weights"))
-        if kind == "max":
-            return Statistic.coordinate_max()
-        if kind == "ustat2":
-            pairs = _need(params, "g", f"{where}.params")
-            if not isinstance(pairs, list) or not all(
-                isinstance(p, list) and len(p) == 2 for p in pairs
-            ):
-                raise ConfigError(f"{where}.params.g: expected [[value, g_value], ...]")
-            return Statistic.pair_interaction(
-                [_reals(p, f"{where}.params.g[{i}]") for i, p in enumerate(pairs)]
-            )
-        if kind == "poly":
-            terms = _need(params, "terms", f"{where}.params")
-            if not isinstance(terms, list):
-                raise ConfigError(f"{where}.params.terms: expected an array")
-            parsed = []
-            for t, term in enumerate(terms):
-                if not isinstance(term, list) or len(term) != 2 or not isinstance(term[1], list):
-                    raise ConfigError(f"{where}.params.terms[{t}]: expected [coef, [exponents]]")
-                (coef,) = _reals(term[:1], f"{where}.params.terms[{t}]")
-                exps = [_integer(e, f"{where}.params.terms[{t}]") for e in term[1]]
-                parsed.append((coef, exps))
-            return Statistic.polynomial(parsed)
+        statistic = Statistic(kind, *values)
+        statistic.validate(space)
     except ModelError as e:
         raise ConfigError(f"{where}: {e}") from e
-    raise ConfigError(f"{where}.kind: unknown statistic kind {kind!r}")
+    return statistic
 
 
 def parse_config(raw: dict) -> InstanceConfig:
@@ -202,22 +173,14 @@ def parse_config(raw: dict) -> InstanceConfig:
         if not isinstance(d, dict):
             raise ConfigError(f"{where}: expected an object")
         _known(d, ("support", "probs"), where)
-        support = _reals(_need(d, "support", where), f"{where}.support")
-        probs = _reals(_need(d, "probs", where), f"{where}.probs")
+        support, probs = _need(d, "support", where), _need(d, "probs", where)
         try:
             dists.append(DiscreteDistribution(support, probs))
         except ModelError as e:
             raise ConfigError(f"{where}: {e}") from e
-    try:
-        space = build_space(dists)
-    except ModelError as e:
-        raise ConfigError(f"distributions: {e}") from e
+    space = build_space(dists)  # cannot refuse: dists is a non-empty list of distributions
 
-    statistic = _parse_statistic(_need(raw, "statistic", "config root"), "statistic")
-    try:
-        statistic.validate(space)
-    except ModelError as e:
-        raise ConfigError(f"statistic: {e}") from e
+    statistic = _parse_statistic(_need(raw, "statistic", "config root"), "statistic", space)
 
     engine = raw.get("engine", "exact")
     if engine not in ENGINES:

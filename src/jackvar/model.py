@@ -18,9 +18,10 @@ indices and gets the joint table, the Monte Carlo engine passes sampled
 index rows.  Three kinds (`table`, `sum`, `ustat2`) are a finish applied
 to sums of per-coordinate terms; `_at` adds them up, and the Monte Carlo
 engine's replaced sets (`mc._replaced`) add the changed coordinates'
-terms to a base row's sums.  Each kind's parameters are decoded and
-checked once, in `Statistic`'s constructor; a `table` keeps its values as
-one read-only float64 array, which `==`, hash and pickle see as floats.
+terms to a base row's sums.  Each input is decoded and checked once, by
+its constructor (`DiscreteDistribution`, `Statistic`; every real through
+`_reals`), and `STATISTIC_PARAMS` is the CLI's schema too.  A `table`
+keeps one read-only float64 array, which `==`, hash and pickle see as floats.
 
 All containers are immutable after construction; arrays are marked
 read-only, so any operation may run concurrently on shared inputs.
@@ -40,7 +41,8 @@ import numpy as np
 DEFAULT_OUTCOME_CAP = 1 << 24
 PROB_SUM_TOL = 1e-12
 
-STATISTIC_KINDS = ("table", "sum", "max", "ustat2", "poly")
+# each statistic kind and its params fields (at most one, whose value is `Statistic`'s params)
+STATISTIC_PARAMS = {"table": ("values",), "sum": ("weights",), "max": (), "ustat2": ("g",), "poly": ("terms",)}
 
 
 class ModelError(ValueError):
@@ -80,6 +82,43 @@ def _pair(what: str, expected: str, value) -> tuple:
     return first, second
 
 
+def _entries(what: str, expected: str, values) -> list:
+    """`values` as a list, or a ModelError naming `what`: a str or a mapping is refused, not read as its items."""
+    if not isinstance(values, (str, bytes, Mapping)):
+        try:
+            return list(values)
+        except TypeError:  # not iterable, or a 0-d array
+            pass
+    raise ModelError(f"{what}: expected {expected}, got {values!r}")
+
+
+def _reals(what: str, values, expected: str = "an array of reals") -> np.ndarray:
+    """`values` as a fresh 1-D float64 array of finite reals, or a ModelError naming `what`.
+
+    An entry is a `numbers.Real`, never a bool or a string, an array has an
+    int, uint or float dtype, and an int past the float range is refused."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iuf":
+            raise ModelError(f"{what}: expected {expected}, got an array of dtype {values.dtype}")
+        arr = np.array(values, dtype=np.float64)
+    else:
+        items = _entries(what, expected, values)
+        if not set(map(type, items)) <= {float, int}:  # bool is not int here
+            for i, v in enumerate(items):
+                if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                    raise ModelError(f"{what}: expected {expected}; entry {i} is {v!r}")
+        try:
+            arr = np.array(items, dtype=np.float64)
+        except OverflowError:
+            raise ModelError(f"{what}: expected {expected}, got a number outside the float range") from None
+    if arr.ndim != 1:
+        raise ModelError(f"{what}: expected {expected}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        i = int(np.flatnonzero(~np.isfinite(arr))[0])
+        raise ModelError(f"{what}[{i}]: {float(arr[i])!r} is not a finite real")
+    return arr
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.setflags(write=False)
@@ -88,7 +127,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """A finite discrete law: outcome values and their probabilities.
+    """A finite discrete law: outcome values and their probabilities, each decoded by `_reals`.
 
     Probabilities must sum to 1 within ``PROB_SUM_TOL`` on input; they are
     renormalized exactly once here and never again downstream.
@@ -98,18 +137,14 @@ class DiscreteDistribution:
     probs: tuple[float, ...]
 
     def __init__(self, support: Sequence[float], probs: Sequence[float]):
-        support = tuple(float(v) for v in support)
-        probs = tuple(float(p) for p in probs)
+        support = tuple(_reals("support", support).tolist())
+        probs = tuple(_reals("probs", probs).tolist())
         if len(support) < 1:
             raise ModelError("support must contain at least one value")
         if len(support) != len(probs):
             raise ModelError(
                 f"support has {len(support)} values but probs has {len(probs)}"
             )
-        if not all(math.isfinite(v) for v in support):
-            raise ModelError("support values must be finite reals")
-        if not all(math.isfinite(p) for p in probs):
-            raise ModelError("probabilities must be finite reals")
         if any(p < 0 for p in probs):
             raise ModelError("negative probability")
         total = math.fsum(probs)
@@ -318,13 +353,14 @@ class Statistic:
       ustat2 -- params {"g": ((value, g_value), ...)}, S = sum_{i<j} g(x_i) g(x_j)
       poly   -- params {"terms": ((coef, (e_1..e_n)), ...)}, S = sum_t c_t prod_i x_i^e_ti
 
-    The constructor decodes and checks params once, for every factory and
-    direct call: a table becomes one fresh read-only 1-D float64 array, the
-    other kinds tuples of floats (poly exponents non-negative integers, no
-    params for `max`).  The reals must be finite, so no evaluation rechecks,
-    and a repeated ustat2 support value, which the g map would drop, is
-    refused.  `==`, hash and pickle see `_key()`, where a table's values
-    are a tuple of floats, so a pickle holds no numpy object.
+    The constructor is the one decoder of params, for every factory, direct
+    call and `jackvar run`: a table becomes one fresh read-only 1-D float64
+    array, the other kinds tuples of floats (poly exponents non-negative
+    integers, no params for `max`).  Every real is a finite number read by
+    `_reals`, so no evaluation rechecks, and a repeated ustat2 support
+    value, which the g map would drop, is refused.  `==`, hash and pickle
+    see `_key()`, where a table's values are a tuple of floats, so a pickle
+    holds no numpy object.
 
     `_bind`, the one method that reads a space, checks the fit and writes
     each kind's formula as per-coordinate tables, which `validate`,
@@ -343,50 +379,39 @@ class Statistic:
     params: tuple | np.ndarray
 
     def __init__(self, kind: str, params=()):
-        if kind not in STATISTIC_KINDS:
-            raise ModelError(f"unknown statistic kind {kind!r}; expected one of {STATISTIC_KINDS}")
-        field, reals = None, ()
+        if not isinstance(kind, str) or kind not in STATISTIC_PARAMS:  # an unhashable kind is not a key
+            raise ModelError(f"unknown statistic kind {kind!r}; expected one of {tuple(STATISTIC_PARAMS)}")
         if kind == "table":
-            try:
-                params = np.array(params, dtype=np.float64)  # always a copy the caller cannot write
-            except (TypeError, ValueError) as e:  # ragged or not numbers
-                raise ModelError(f"params.values: expected one real per outcome ({e})") from None
-            if params.ndim != 1:
-                raise ModelError(f"params.values: expected one real per outcome, got shape {params.shape}")
+            params = _reals("params.values", params, "one real per outcome")  # a copy the caller cannot write
             params.setflags(write=False)
-            field, reals = "values", params
         elif kind == "sum":
-            params = tuple(float(w) for w in params)
-            field, reals = "weights", params
+            params = tuple(_reals("params.weights", params, "one real per coordinate").tolist())
         elif kind == "max":
-            params = tuple(params)
-            if params:
+            if not isinstance(params, (tuple, list)) or params:
                 raise ModelError(f"max statistic takes no params, got {params!r}")
+            params = ()
         elif kind == "ustat2":
-            pairs = [_pair(f"params.g[{i}]", "(value, g_value)", pair) for i, pair in enumerate(params)]
-            params = tuple((float(v), float(g)) for v, g in pairs)
-            field, reals = "g", [g for _, g in params]
+            pairs = enumerate(_entries("params.g", "an array of (value, g_value) pairs", params))
+            params = tuple(_pair(f"params.g[{i}]", "(value, g_value)",
+                                 _reals(f"params.g[{i}]", pair, "(value, g_value)").tolist()) for i, pair in pairs)
             first = {}  # support value -> its first entry; 0.0 and -0.0 are one key
             for i, (value, _) in enumerate(params):
                 j = first.setdefault(value, i)
                 if j != i:
                     raise ModelError(f"params.g[{i}]: support value {value!r} repeats params.g[{j}]")
         else:  # poly
-            terms = []
-            for t, term in enumerate(params):
+            coefs, exponents = [], []
+            for t, term in enumerate(_entries("params.terms", "an array of (coef, exponents) terms", params)):
                 coef, exps = _pair(f"params.terms[{t}]", "(coef, exponents)", term)
-                if not isinstance(exps, Iterable):
+                if isinstance(exps, (str, Mapping)) or not isinstance(exps, Iterable):
                     raise ModelError(f"params.terms[{t}]: expected (coef, exponents), got {term!r}")
-                coef, exps = float(coef), tuple(as_integer("poly exponent", e) for e in exps)
+                exps = tuple(as_integer("poly exponent", e) for e in exps)
                 if any(e < 0 for e in exps):
                     raise ModelError(f"poly term {t} has a negative exponent")
-                terms.append((coef, exps))
-            params = tuple(terms)
-            field, reals = "terms", [coef for coef, _ in params]
-        bad = np.flatnonzero(~np.isfinite(np.asarray(reals, dtype=np.float64)))
-        if bad.size:
-            i = int(bad[0])
-            raise ModelError(f"params.{field}[{i}]: {float(reals[i])!r} is not a finite real")
+                coefs.append(coef)
+                exponents.append(exps)
+            coefs = _reals("params.terms", coefs, "a real coefficient in each term").tolist()
+            params = tuple(zip(coefs, exponents))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
         # the ustat2 value map `_bind` reads; it takes no part in ==, hash or pickle
@@ -478,10 +503,21 @@ class Statistic:
     def on_indices(self, space: ProductSpace, idx: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at per-coordinate support indices.
 
-        idx has shape (N, n); returns shape (N,).  This is the path the
-        Monte Carlo engine uses, so it never materializes the joint grid.
+        idx is an integer (N, n) array, column c in 0..m_{c+1}-1 (else
+        `ModelError` names the row and the coordinate); returns shape (N,).
+        The Monte Carlo engine's path: it never builds the joint grid.
         """
-        return self._at(self._bind(space), np.asarray(idx).T)
+        binding = self._bind(space)
+        idx = np.asarray(idx)
+        if idx.ndim != 2 or idx.shape[1] != space.n or idx.dtype.kind not in "iu":
+            raise ModelError(f"index rows: expected integers of shape (rows, {space.n}), "
+                             f"got {idx.dtype} of shape {idx.shape}")
+        if idx.size and (idx.min() < 0 or idx.max() >= min(space.shape)):  # else every column is in range
+            bad = np.argwhere((idx < 0) | (idx >= space.shape))
+            if bad.size:
+                row, c = bad[0].tolist()
+                raise ModelError(f"index row {row}, coordinate {c + 1}: {idx[row, c]} is outside 0..{space.shape[c] - 1}")
+        return self._at(binding, idx.T)
 
     def _at(self, binding, cols) -> np.ndarray:
         """S from `_bind`'s tables at support indices: cols[c] indexes coordinate c+1; the n arrays broadcast."""

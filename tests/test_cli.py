@@ -438,16 +438,17 @@ class TestExactNumbers:
 
     @pytest.mark.parametrize(
         "field, doc",
-        [pytest.param(field, doc, id=field) for field, doc in [
-            ("mc.seed", _with(engine="mc", mc=dict(MC_RUN, seed=2.9))),
-            ("mc.outer_samples", _with(engine="mc", mc=dict(MC_RUN, outer_samples=100.9))),
-            ("mc.ks", _with(engine="mc", mc=dict(MC_RUN, ks=[1.5]))),
-            ("statistic.params.terms[0]",
+        [pytest.param(field, doc, id=name) for name, field, doc in [
+            ("mc.seed", "mc.seed", _with(engine="mc", mc=dict(MC_RUN, seed=2.9))),
+            ("mc.outer_samples", "mc.outer_samples", _with(engine="mc", mc=dict(MC_RUN, outer_samples=100.9))),
+            ("mc.ks", "mc.ks", _with(engine="mc", mc=dict(MC_RUN, ks=[1.5]))),
+            ("statistic.params.terms[0]", "statistic.params.terms[0]",
              _with(statistic={"kind": "poly", "params": {"terms": [[1.0, [1, 1.7]]]}})),
-            ("distributions[0].support",
+            # the constructor refuses a distribution's reals; the CLI prefixes where it is
+            ("distributions[0].support", "distributions[0]: support",
              _with(distributions=[{"support": [True, False], "probs": [0.5, 0.5]}] * 2)),
-            ("bounds.p_values", _with(bounds={"p_values": [True]})),
-            ("distributions[1].probs",
+            ("bounds.p_values", "bounds.p_values", _with(bounds={"p_values": [True]})),
+            ("distributions[1].probs", "distributions[1]: probs",
              _with(distributions=[RAD2_PROD_CONFIG["distributions"][0],
                                   {"support": [0.0, 1.0], "probs": [10**400, 0.5]}])),
         ]],
@@ -464,6 +465,27 @@ class TestExactNumbers:
         report = json.loads((tmp_path / "out.json").read_text())
         assert report["seed"] == 2 and report["mc"]["outer_samples"] == 100
         assert list(report["mc"]["ej"]) == ["2"] and report["mc"]["brackets"][0]["p"] == 1
+
+
+    def test_integral_poly_exponents(self, tmp_path, monkeypatch):
+        # JSON has one number type: the CLI reads exponent 2.0 as the integer 2
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: 0.0)  # wall_time_s 0.0 in both
+        laws = [{"support": [0.0, 1.0, 3.0], "probs": [0.25, 0.25, 0.5]}] * 2
+        for name, exps in (("int", [2, 1]), ("float", [2.0, 1.0])):
+            doc = _with(distributions=laws, statistic={"kind": "poly", "params": {"terms": [[1.5, exps]]}},
+                        output={"format": "both", "path": str(tmp_path / name)})
+            assert cli.main(["run", write_config(tmp_path, doc, f"{name}.json")]) == 0
+        for ext in (".json", ".csv"):
+            assert (tmp_path / f"float{ext}").read_bytes() == (tmp_path / f"int{ext}").read_bytes()
+
+
+class TestStatisticKind:
+    @pytest.mark.parametrize("kind", [[], {}], ids=["array", "object"])
+    def test_kind_that_is_no_string(self, tmp_path, capsys, kind):
+        # `kind in STATISTIC_PARAMS` raised TypeError: unhashable type, with a traceback
+        path = write_config(tmp_path, _with(statistic={"kind": kind, "params": {}}))
+        assert cli.main(["run", path]) == 1
+        assert capsys.readouterr().err == f"error: {path}: statistic.kind: unknown statistic kind {kind!r}\n"
 
 
 class TestSelfcheck:

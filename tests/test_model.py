@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -247,12 +248,66 @@ class TestNonFiniteParams:
             call()
 
     def test_direct_constructor_decodes_like_the_factory(self):
-        # the sum weight "1.5" used to reach on_grid and fail there with numpy's UFuncTypeError
-        direct, factory = jv.Statistic("sum", ("1.5", 2)), jv.Statistic.linear(("1.5", 2))
-        assert direct == factory and direct.params == (1.5, 2.0)
-        assert np.array_equal(direct.on_grid(RAD2), jv.Statistic.linear([1.5, 2.0]).on_grid(RAD2))
+        # a string is no real, as as_integer refuses "2": the sum weight "1.5" is refused alike by both
+        messages = []
+        for call in (lambda: jv.Statistic("sum", ("1.5", 2)), lambda: jv.Statistic.linear(("1.5", 2))):
+            with pytest.raises(jv.ModelError, match=r"^params.weights: expected ") as refused:
+                call()
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
+        direct = jv.Statistic("sum", (1, 2))
+        assert direct == jv.Statistic.linear((1, 2)) and direct.params == (1.0, 2.0)
         assert jv.Statistic("ustat2", [(1, 2)]).params == ((1.0, 2.0),)
         assert jv.Statistic("poly", [(1, [np.int8(1), 0])]) == jv.Statistic.polynomial([(1.0, (1, 0))])
+
+
+# the value of one array-of-reals slot: a scalar, or two entries with a bad first one
+BAD_REALS = {"scalar": 0.5, "nested": [[0.5], 0.5], "bool": [True, 0.5], "string": ["0.5", 0.5],
+             "none": [None, 0.5], "huge": [10**400, 0.5]}
+# (field, constructor call with the slot's value) for every real field of both constructors
+REAL_FIELDS = {
+    "support": ("support", lambda x: jv.DiscreteDistribution(x, [0.5, 0.5])),
+    "probs": ("probs", lambda x: jv.DiscreteDistribution([0.0, 1.0], x)),
+    "table": ("params.values", jv.Statistic.table),
+    "sum": ("params.weights", jv.Statistic.linear),
+    "ustat2-value": (r"params.g\[0\]", lambda x: jv.Statistic.pair_interaction([x])),
+    "ustat2-g": (r"params.g\[0\]", lambda x: jv.Statistic.pair_interaction([x[::-1] if isinstance(x, list) else x])),
+    "poly-coef": ("params.terms",
+                  lambda x: jv.Statistic.polynomial([(c, (1,)) for c in x] if isinstance(x, list) else x)),
+}
+
+
+class TestOneDecoder:
+    """Each constructor decodes its reals with `_reals`: a real is a number, never a bool or a string."""
+
+    @pytest.mark.parametrize("bad", BAD_REALS.values(), ids=BAD_REALS.keys())
+    @pytest.mark.parametrize("field, call", REAL_FIELDS.values(), ids=REAL_FIELDS.keys())
+    def test_refused(self, field, call, bad):
+        # strings and booleans used to be taken as numbers, the rest raised bare TypeErrors or OverflowErrors
+        with pytest.raises(jv.ModelError, match=f"^{field}: expected "):
+            call(bad)
+
+    @pytest.mark.parametrize("values", [np.array([True, False]), np.array(["1.5", "2"]), np.array([1.0, None])],
+                             ids=["bool", "str", "object"])
+    def test_arrays_need_a_numeric_dtype(self, values):
+        for field, call in (REAL_FIELDS[name] for name in ("support", "probs", "table", "sum", "ustat2-value")):
+            with pytest.raises(jv.ModelError, match=f"^{field}: expected .*, got an array of dtype "):
+                call(values)
+
+    def test_max_refuses_a_scalar(self):
+        with pytest.raises(jv.ModelError, match=r"^max statistic takes no params, got 5$"):
+            jv.Statistic("max", 5)
+
+    @pytest.mark.parametrize("kind", [[], {}, None], ids=["list", "dict", "none"])
+    def test_kind_must_be_a_known_string(self, kind):
+        # an unhashable kind raised TypeError from the dict lookup
+        with pytest.raises(jv.ModelError, match=r"^unknown statistic kind "):
+            jv.Statistic(kind, ())
+
+    def test_numbers_of_any_real_type(self):
+        law = jv.DiscreteDistribution(np.array([0, 2], dtype=np.uint8), (Fraction(1, 4), np.float32(0.75)))
+        assert law == jv.DiscreteDistribution([0.0, 2.0], [0.25, 0.75])
+        assert jv.Statistic.linear([np.int64(1), Fraction(1, 2)]).params == (1.0, 0.5)
 
 
 class TestTableParams:
@@ -469,6 +524,37 @@ class TestBinding:
         assert not isinstance(refused.value, GridSizeError)
         with pytest.raises(GridSizeError):
             jv.Statistic.linear([1.0] * 25).on_grid(jv.build_space([RAD] * 25))
+
+
+class TestIndexRows:
+    """`on_indices` checks its rows once: shape (N, n), an integer dtype, column c in 0..m_c-1."""
+
+    SPACE = jv.build_space([RAD] * 3)
+    STATISTICS = [jv.Statistic.table(np.arange(8.0)), jv.Statistic.linear([1.0, 2.0, 4.0]),
+                  jv.Statistic.coordinate_max(), jv.Statistic.pair_interaction({-1.0: 1.0, 1.0: 2.0}),
+                  jv.Statistic.polynomial([(1.0, (1, 1, 1))])]
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[1, 1]], r"^index rows: expected integers of shape \(rows, 3\), got int\d+ of shape \(1, 2\)$"),
+        ([[0, 0, 0], [-1, -1, -1]], r"^index row 1, coordinate 1: -1 is outside 0..1$"),
+        ([[0, 1, 2]], r"^index row 0, coordinate 3: 2 is outside 0..1$"),
+        (np.array([[0.0, 1.0, 1.0]]), r"^index rows: expected integers .*, got float64 of shape \(1, 3\)$"),
+    ], ids=["two-columns", "minus-one", "two", "float"])
+    def test_refused(self, rows, message):
+        # a sum dropped coordinate 3 of a 2-column row, -1 wrapped to the last
+        # support value, and index 2 raised a bare IndexError or gathered
+        # another outcome's table entry
+        for stat in self.STATISTICS:
+            with pytest.raises(jv.ModelError, match=message):
+                stat.on_indices(self.SPACE, rows)
+
+    def test_every_index_in_range_is_taken(self):
+        rows = np.array(list(np.ndindex(*self.SPACE.shape)), dtype=np.uint8)
+        for stat in self.STATISTICS:
+            assert np.array_equal(stat.on_indices(self.SPACE, rows), stat.on_grid(self.SPACE).ravel())
+        # past the narrowest support, the columns are checked one by one
+        mixed = jv.build_space([RAD, jv.DiscreteDistribution.uniform([0.0, 1.0, 2.0])])
+        assert jv.Statistic.linear([1.0, 1.0]).on_indices(mixed, [[1, 2]]).tolist() == [3.0]
 
 
 class TestStatisticIdentity:
