@@ -32,6 +32,7 @@ where it cross-checks two independent paths.
 
 from __future__ import annotations
 
+import functools
 import math
 import typing
 from dataclasses import asdict, dataclass, fields, is_dataclass
@@ -232,37 +233,54 @@ def degree_bound(
     return out
 
 
-def _as_lists(value):
-    """`asdict` output with every tuple turned into a list, as JSON loads it."""
-    if isinstance(value, dict):
-        return {k: _as_lists(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_as_lists(v) for v in value]
-    return value
+@functools.cache
+def _plan(cls) -> dict:
+    """{name: load} over the fields of dataclass `cls`, in field order; built once per class.
 
-
-def _load(tp, value, path: str = ""):
-    """Rebuild a value of annotated type `tp` from its `to_dict` form.
-
-    A missing or unknown field raises ModelError naming its dotted path.
+    load(value, path) rebuilds the field's value of its resolved type hint
+    from its `to_dict` form (a list for a tuple, a dict for a dataclass).
     """
-    if value is None:
-        return None
-    if is_dataclass(tp):
-        hints = typing.get_type_hints(tp)
-        prefix = path + "." if path else ""
-        names = [f.name for f in fields(tp)]
-        for key in (*names, *value):
-            if (key in names) != (key in value):
-                state = "missing" if key in names else "unknown"
-                raise ModelError(f"report field {prefix + key!r} is {state}")
-        return tp(**{name: _load(hints[name], value[name], prefix + name) for name in names})
+    hints = typing.get_type_hints(cls)
+    return {f.name: _loader(hints[f.name]) for f in fields(cls)}
+
+
+def _loader(tp):
+    """load(value, path) for annotated type `tp`; a null value loads as None.
+
+    A missing or unknown dataclass field raises ModelError naming its dotted path.
+    """
     args = typing.get_args(tp)
-    if typing.get_origin(tp) is tuple:
-        return tuple(_load(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
-    if args:  # Optional[X]
-        return _load(args[0], value, path)
-    return tp(value)
+    if is_dataclass(tp):
+        plan = _plan(tp)
+
+        def load(value, path):
+            prefix = path + "." if path else ""
+            if not isinstance(value, dict) or value.keys() != plan.keys():
+                for key in (*plan, *value):
+                    if (key in plan) != (key in value):
+                        state = "missing" if key in plan else "unknown"
+                        raise ModelError(f"report field {prefix + key!r} is {state}")
+            return tp(**{name: field(value[name], prefix + name) for name, field in plan.items()})
+    elif typing.get_origin(tp) is tuple:
+        item = _loader(args[0])
+
+        def load(value, path):
+            return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+    elif args:  # Optional[X]
+        return _loader(args[0])
+    else:
+        def load(value, path):
+            return tp(value)
+    return lambda value, path: None if value is None else load(value, path)
+
+
+def _dump(value):
+    """`value` as JSON loads it back: a dataclass as a dict of its fields, a tuple as a list."""
+    if isinstance(value, tuple):
+        return [_dump(v) for v in value]
+    if is_dataclass(value):
+        return {name: _dump(getattr(value, name)) for name in _plan(type(value))}
+    return value
 
 
 @dataclass(frozen=True)
@@ -289,11 +307,15 @@ class BoundsReport:
         return self.p0_chain
 
     def to_dict(self) -> dict:
-        return _as_lists(asdict(self))
+        """The report as JSON loads it back: one pass that turns each dataclass
+        into a dict of its fields and each tuple into a list, sharing the floats."""
+        return _dump(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoundsReport":
-        return _load(cls, d)
+        """Rebuild a report from its `to_dict` form; a missing or unknown field
+        raises ModelError naming its dotted path, e.g. 'brackets[0].upper_j'."""
+        return _loader(cls)(d, "")
 
 
 def exact_report(cache: CondExpCache, p_values=None) -> BoundsReport:

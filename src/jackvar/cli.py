@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -320,9 +321,12 @@ def _override(raw: dict, section: str, field: str, value) -> None:
 
 
 def _write_json(path: str, doc) -> None:
+    """`doc` as indented JSON and a newline, in one write.
+
+    The bytes are `json.dump(doc, fh, indent=2)`'s; `json.dump` would hand
+    the file one token at a time."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def cmd_run(args) -> int:
@@ -436,7 +440,12 @@ def cmd_selfcheck(args) -> int:
     return 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `jackvar` argument parser, built once per process.
+
+    Parsing leaves it unchanged: each `parse_args` call fills a fresh
+    namespace, so no flag of one `main` call reaches the next."""
     parser = argparse.ArgumentParser(
         prog="jackvar",
         description="Exact and Monte Carlo variance decomposition via iterated jackknives",

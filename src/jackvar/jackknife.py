@@ -100,9 +100,12 @@ def iterated_difference_moment(table: FieldTable, indices) -> float:
     Its second moment equals 2^|I| times E[var(I) S], which is what makes it
     an engine-independent oracle for the conditional machinery.
 
-    It enumerates the extended grid of the tabulated statistic (base outcomes
-    times one fresh copy axis per subset coordinate), which `check_grid` must
-    admit; `mc.estimate_difference_moment` samples the same moment.
+    It is computed on the extended grid of the tabulated statistic (base
+    outcomes times one fresh copy axis per subset coordinate), which
+    `check_grid` must admit, in k = |I| passes: pass c applies (1 - P_c),
+    where P_c swaps coordinate c's axis with its copy axis.  The swaps
+    commute, so the product of the k factors is the signed sum over all 2^k
+    subsets J.  `mc.estimate_difference_moment` samples the same moment.
     """
     space = table.space
     iset = as_index_set(indices).check_range(space.n)
@@ -115,16 +118,9 @@ def iterated_difference_moment(table: FieldTable, indices) -> float:
     space.check_grid(f"the extended grid for subset {list(iset.indices)}", extended, space.n + k)
 
     n = space.n
-    base = table.array.reshape(space.shape + (1,) * k)
-    diff = np.zeros(space.shape + copy_sizes)
-    for bits in range(1 << k):
-        view = base
-        sign = 1.0
-        for pos, coord in enumerate(iset.indices):
-            if bits >> pos & 1:
-                view = np.swapaxes(view, coord - 1, n + pos)
-                sign = -sign
-        diff = diff + sign * view
+    diff = table.array.reshape(space.shape + (1,) * k)
+    for pos, coord in enumerate(iset.indices):  # (1 - P_c): coordinate c's axis swapped with its copy's
+        diff = diff - np.swapaxes(diff, coord - 1, n + pos)
 
     weights = space.joint_weights().reshape(space.shape + (1,) * k)
     for pos, coord in enumerate(iset.indices):

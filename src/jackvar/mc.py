@@ -238,10 +238,11 @@ def _contributions(space, statistic, cfg, tag, width, contribute, start=0, count
     statistic.validate(space)
     cdfs = _cdfs(space)
     stop = start + (cfg.outer_samples if count is None else count)
-    out = np.concatenate([
-        contribute(cdfs, _uniform_block(cfg.seed, tag, lo, min(BLOCK_ROWS, stop - lo), width))
-        for lo in range(start, stop, BLOCK_ROWS)
-    ])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite contribution is refused just below
+        out = np.concatenate([
+            contribute(cdfs, _uniform_block(cfg.seed, tag, lo, min(BLOCK_ROWS, stop - lo), width))
+            for lo in range(start, stop, BLOCK_ROWS)
+        ])
     if not np.isfinite(out).all():
         raise NonFiniteError("the statistic overflows on sampled outcomes: non-finite contributions")
     return out

@@ -170,8 +170,8 @@ class DiscreteDistribution:
 
     @classmethod
     def uniform(cls, values: Sequence[float]) -> "DiscreteDistribution":
-        m = len(values)
-        return cls(tuple(values), (1.0 / m,) * m)
+        support = _reals("support", values)  # decoded before its size is used
+        return cls(support, np.ones(support.size) / support.size)
 
 
 @dataclass(frozen=True)
@@ -459,38 +459,41 @@ class Statistic:
         coordinate c+1: stride_c * i (int64) for `table`, w_c * x_c for
         `sum`, g(x_c) and g(x_c)^2 for `ustat2`.  For `max` the tables are
         the support values, for `poly` (coef, [x_c^e, None where e = 0]) per
-        term, and finish is None.
+        term, and finish is None.  A term past the float range is held as
+        inf, without a numpy warning: where S is evaluated, `tabulate` and
+        `mc._contributions` refuse it.
         """
-        if self.kind == "table":
-            if len(self.params) != space.n_outcomes:
-                raise ModelError(f"table statistic has {len(self.params)} values, space has {space.n_outcomes} outcomes")
-            flat = [np.arange(m, dtype=np.int64) * s for m, s in zip(space.shape, space.flat_strides())]
-            return (flat,), self.params.__getitem__
-        if self.kind == "sum":
-            if len(self.params) != space.n:
-                raise ModelError(f"sum statistic has {len(self.params)} weights for n={space.n}")
-            return ([w * space.axis_values(c) for c, w in enumerate(self.params, 1)],), lambda total: total
-        if self.kind == "ustat2":
-            if space.n < 2:
-                raise ModelError("ustat2 needs at least two coordinates")
-            axes = {}  # support -> g at each of its values, built once per distinct support
-            for c, d in enumerate(space.dists, 1):
-                if d.support not in axes:
-                    try:
-                        axes[d.support] = _readonly([self._g[v] for v in d.support])
-                    except KeyError as missing:
-                        raise ModelError(f"ustat2 value map has no entry for support value {missing.args[0]!r} "
-                                         f"of coordinate {c}") from None
-            g = [axes[d.support] for d in space.dists]
-            # sum_{i<j} g_i g_j from T = sum g_i and Q = sum g_i^2
-            return (g, [v * v for v in g]), lambda total, total_sq: 0.5 * (total * total - total_sq)
-        if self.kind == "max":
-            return [space.axis_values(c) for c in range(1, space.n + 1)], None
-        for t, (_, exps) in enumerate(self.params):
-            if len(exps) != space.n:
-                raise ModelError(f"poly term {t} has {len(exps)} exponents for n={space.n}")
-        return [(coef, [space.axis_values(c) ** e if e else None for c, e in enumerate(exps, 1)])
-                for coef, exps in self.params], None
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == "table":
+                if len(self.params) != space.n_outcomes:
+                    raise ModelError(f"table statistic has {len(self.params)} values, space has {space.n_outcomes} outcomes")
+                flat = [np.arange(m, dtype=np.int64) * s for m, s in zip(space.shape, space.flat_strides())]
+                return (flat,), self.params.__getitem__
+            if self.kind == "sum":
+                if len(self.params) != space.n:
+                    raise ModelError(f"sum statistic has {len(self.params)} weights for n={space.n}")
+                return ([w * space.axis_values(c) for c, w in enumerate(self.params, 1)],), lambda total: total
+            if self.kind == "ustat2":
+                if space.n < 2:
+                    raise ModelError("ustat2 needs at least two coordinates")
+                axes = {}  # support -> g at each of its values, built once per distinct support
+                for c, d in enumerate(space.dists, 1):
+                    if d.support not in axes:
+                        try:
+                            axes[d.support] = _readonly([self._g[v] for v in d.support])
+                        except KeyError as missing:
+                            raise ModelError(f"ustat2 value map has no entry for support value {missing.args[0]!r} "
+                                             f"of coordinate {c}") from None
+                g = [axes[d.support] for d in space.dists]
+                # sum_{i<j} g_i g_j from T = sum g_i and Q = sum g_i^2
+                return (g, [v * v for v in g]), lambda total, total_sq: 0.5 * (total * total - total_sq)
+            if self.kind == "max":
+                return [space.axis_values(c) for c in range(1, space.n + 1)], None
+            for t, (_, exps) in enumerate(self.params):
+                if len(exps) != space.n:
+                    raise ModelError(f"poly term {t} has {len(exps)} exponents for n={space.n}")
+            return [(coef, [space.axis_values(c) ** e if e else None for c, e in enumerate(exps, 1)])
+                    for coef, exps in self.params], None
 
     def validate(self, space: ProductSpace) -> None:
         """Raise `ModelError` unless the statistic fits `space`."""
@@ -583,8 +586,9 @@ class FieldTable:
 
 
 def tabulate(statistic: Statistic, space: ProductSpace) -> FieldTable:
-    """Evaluate a statistic at every joint outcome; overflow raises ModelError."""
-    grid = statistic.on_grid(space)
+    """Evaluate a statistic at every joint outcome; a non-finite value raises NonFiniteError, not a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the non-finite S is refused just below
+        grid = statistic.on_grid(space)
     if not np.isfinite(grid).all():
         flat = int(np.flatnonzero(~np.isfinite(grid.ravel(order="F")))[0])
         raise NonFiniteError(f"{statistic.kind} statistic is not finite at outcome {space.outcome(flat)}")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -188,6 +189,20 @@ class TestReport:
             rep = jv.exact_report(cache)
             doc = json.loads(json.dumps(rep.to_dict()))
             assert jv.BoundsReport.from_dict(doc) == rep
+
+    @pytest.mark.parametrize("stat, dists, p_values, brackets", [
+        (jv.Statistic.table([0.5, -1.0, 2.0]), [jv.DiscreteDistribution.uniform([0.0, 1.0, 2.0])], None, []),
+        (jv.Statistic.table([3.0] * 4), [jv.DiscreteDistribution.rademacher()] * 2, None, [1]),  # constant
+        (jv.Statistic.polynomial([(1.0, (1, 1, 1, 1)), (0.5, (1, 0, 1, 0))]),
+         [jv.DiscreteDistribution.rademacher()] * 4, [2], [2]),
+    ], ids=["n1", "no-corollary", "p-subset"])
+    def test_to_dict_is_the_json_form_of_asdict(self, stat, dists, p_values, brackets):
+        space = jv.build_space(dists)
+        rep = jv.exact_report(jv.CondExpCache(jv.tabulate(stat, space)), p_values=p_values)
+        assert [b.p for b in rep.brackets] == brackets
+        assert (rep.corollary is None) == (rep.var_exact == 0.0)
+        assert rep.to_dict() == json.loads(json.dumps(dataclasses.asdict(rep)))
+        assert jv.BoundsReport.from_dict(rep.to_dict()) == rep
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d.pop("var_exact"), "'var_exact' is missing"),

@@ -2,8 +2,11 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -73,6 +76,37 @@ class TestRunExact:
         )
         assert rc == 0
         assert (tmp_path / "alt.json").exists()
+
+
+class TestProcessWideState:
+    """The parser is built once per process; writing the report is one `json.dumps`."""
+
+    def test_write_json_bytes_are_json_dump(self, tmp_path):
+        doc = {"version": jv.__version__, "seed": None, "wall_time_s": 0.1 + 0.2, "n": 3,
+               "exact": {"ej": [1e-300, -0.0, 2.5e300], "brackets": [], "corollary": None},
+               "mc": {"ej": {"1": {"mean": 1 / 3, "flagged_negative": True}}}, "name": "\u00e9"}
+        cli._write_json(str(tmp_path / "one.json"), doc)
+        with open(tmp_path / "reference.json", "w") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+        assert (tmp_path / "one.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+    def test_no_flag_leaks_into_the_next_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, dict(RAD2_PROD_CONFIG, output={"path": str(out)}))
+
+        def run(*flags):
+            assert cli.main(["run", config, *flags]) == 0
+            report = json.loads(out.with_suffix(".json").read_text())
+            del report["wall_time_s"]
+            return report, capsys.readouterr().out
+
+        assert run("--engine", "both", "--seed", "3")[0]["seed"] == 3
+        warm = run()
+        cli.build_parser.cache_clear()
+        assert run() == warm
+        assert warm[0]["engine"] == "exact" and warm[0]["seed"] is None and "mc" not in warm[0]
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestFlagsAreConfigFields:
@@ -413,7 +447,6 @@ class TestNonFiniteInputs:
         rc, err = self.run(tmp_path, capsys, doc)
         assert rc == 1 and "mc.seed" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("engine", ["exact", "mc"])
     def test_statistic_overflow(self, tmp_path, capsys, engine):
         doc = dict(RAD2_PROD_CONFIG, engine=engine)
@@ -423,6 +456,27 @@ class TestNonFiniteInputs:
             doc["mc"] = {"seed": 1, "outer_samples": 100}
         rc, err = self.run(tmp_path, capsys, doc)
         assert rc == 1 and "statistic:" in err and "finite" in err
+
+    @pytest.mark.parametrize("engine", ["exact", "mc"])
+    @pytest.mark.parametrize("statistic", [
+        {"kind": "poly", "params": {"terms": [[1.0, [2, 0]]]}},
+        {"kind": "sum", "params": {"weights": [1e200, 1.0]}},
+    ], ids=["poly", "sum"])
+    def test_statistic_overflow_is_one_stderr_line(self, tmp_path, engine, statistic):
+        # numpy's RuntimeWarnings and the library lines they point at used to come first
+        doc = dict(RAD2_PROD_CONFIG, engine=engine, statistic=statistic)
+        doc["distributions"] = [{"support": [1.0, 1e200], "probs": [0.5, 0.5]}] * 2
+        if engine == "mc":
+            doc["mc"] = {"seed": 1, "outer_samples": 100}
+        config = write_config(tmp_path, doc)
+        path = os.pathsep.join(p for p in (str(README.parent / "src"), os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "jackvar.cli", "run", config],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"error: {config}: statistic: ") and "finite" in line
 
 
 def _with(**fields):

@@ -110,6 +110,32 @@ class TestAgainstBruteforce:
                 assert jack.er[k - 1] == pytest.approx(bf.expected_r(bs, table, k), abs=1e-12)
 
 
+def signed_view_sum(table, indices):
+    """The difference moment as the sum of the 2^k signed swapped views of the extended grid.
+
+    The reference for `iterated_difference_moment`'s k passes of (1 - P_c):
+    each subset J of the k coordinates swaps J's axes for their copy axes.
+    """
+    space, n = table.space, table.space.n
+    iset = sorted(indices)
+    k = len(iset)
+    base = table.array.reshape(space.shape + (1,) * k)
+    diff = np.zeros(space.shape + tuple(space.shape[c - 1] for c in iset))
+    for bits in range(1 << k):
+        view, sign = base, 1.0
+        for pos, coord in enumerate(iset):
+            if bits >> pos & 1:
+                view = np.swapaxes(view, coord - 1, n + pos)
+                sign = -sign
+        diff = diff + sign * view
+    weights = space.joint_weights().reshape(space.shape + (1,) * k)
+    for pos, coord in enumerate(iset):
+        shape = [1] * (n + k)
+        shape[n + pos] = space.shape[coord - 1]
+        weights = weights * space.axis_probs(coord).reshape(shape)
+    return float(np.sum(weights * diff * diff))
+
+
 class TestDifferenceMoment:
     def test_rad2_prod_single(self, rad2, prod_stat):
         assert jv.iterated_difference_moment(jv.tabulate(prod_stat, rad2), [1]) == pytest.approx(
@@ -136,6 +162,22 @@ class TestDifferenceMoment:
                 moment = jv.iterated_difference_moment(cache.base, iset)
                 e_var = float(np.sum(w * jv.iterated_variance(cache, iset).array))
                 assert abs(moment / 2.0 ** len(iset) - e_var) <= 1e-9 * cache.scale
+
+    def test_k_passes_match_the_signed_view_sum(self):
+        rng = np.random.Generator(np.random.Philox(key=67))
+        for _ in range(12):
+            n = int(rng.integers(1, 5))
+            dists = []
+            for _ in range(n):  # each coordinate its own support size and law
+                m = int(rng.integers(2, 5))
+                dists.append(jv.DiscreteDistribution(rng.uniform(-1, 1, m), rng.dirichlet(np.ones(m))))
+            space = jv.build_space(dists)
+            table = jv.tabulate(jv.Statistic.table(rng.uniform(-1.0, 1.0, space.n_outcomes)), space)
+            scale = max(1.0, float(np.sum(space.joint_weights() * table.array**2)))
+            for mask in range(1, 1 << n):
+                iset = jv.IndexSet.from_mask(mask)
+                want = signed_view_sum(table, iset.indices)
+                assert abs(jv.iterated_difference_moment(table, iset) - want) <= 1e-12 * scale
 
     def test_matches_bruteforce(self, rad3, u2_stat):
         bs, fn = bf.fixture("RAD3-U2")

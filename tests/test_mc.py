@@ -404,7 +404,6 @@ class TestBlockDriver:
         monkeypatch.setattr(mc, "BLOCK_ROWS", 1 << 20)
         assert np.array_equal(mc._contributions(*args), whole)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_raises(self):
         big = jv.build_space([jv.DiscreteDistribution([1e200, 1.0], [0.5, 0.5])] * 2)
         cube = jv.Statistic.polynomial([(1.0, (3, 0))])

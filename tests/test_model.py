@@ -51,6 +51,18 @@ class TestDiscreteDistribution:
         d = jv.DiscreteDistribution.point_mass(3.0)
         assert d.support == (3.0,) and d.probs == (1.0,)
 
+    @pytest.mark.parametrize("values, message", [
+        ([], "^support must contain at least one value$"),  # raised ZeroDivisionError
+        (5, "^support: expected an array of reals, got 5$"),  # raised TypeError from len()
+    ], ids=["empty", "scalar"])
+    def test_uniform_decodes_its_support_first(self, values, message):
+        with pytest.raises(jv.ModelError, match=message):
+            jv.DiscreteDistribution.uniform(values)
+
+    def test_uniform(self):
+        d = jv.DiscreteDistribution.uniform(range(3))
+        assert d.support == (0.0, 1.0, 2.0) and d.probs == (1 / 3,) * 3
+
 
 class TestIndexSet:
     def test_canonicalizes(self):
@@ -182,7 +194,6 @@ class TestTabulate:
             jv.tabulate(jv.Statistic.linear([1.0]), rad2)
 
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_raises(self):
         sp = jv.build_space([jv.DiscreteDistribution([1.0, 1e200], [0.5, 0.5])] * 2)
         cube = jv.Statistic.polynomial([(1.0, (3, 0)), (2.0, (0, 1))])
