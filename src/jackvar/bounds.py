@@ -244,18 +244,28 @@ def _plan(cls) -> dict:
     return {f.name: _loader(hints[f.name]) for f in fields(cls)}
 
 
-def _loader(tp):
-    """load(value, path) for annotated type `tp`; a null value loads as None.
+def _refuse(path: str, expected: str, value) -> ModelError:
+    where = f"report field {path!r}" if path else "the report"
+    return ModelError(f"{where}: expected {expected}, got {value!r}")
 
-    A missing or unknown dataclass field raises ModelError naming its dotted path.
+
+def _loader(tp):
+    """load(value, path) for annotated type `tp`, taking only what `to_dict` writes for it.
+
+    A dataclass takes a dict with exactly its fields, a tuple a list, an
+    int a JSON integer, a float an integer or a float; null only an
+    Optional field, and a bool no number.  A missing or unknown field, or a
+    value of the wrong type, raises ModelError naming its dotted path.
     """
     args = typing.get_args(tp)
     if is_dataclass(tp):
         plan = _plan(tp)
 
         def load(value, path):
+            if not isinstance(value, dict):
+                raise _refuse(path, "an object", value)
             prefix = path + "." if path else ""
-            if not isinstance(value, dict) or value.keys() != plan.keys():
+            if value.keys() != plan.keys():
                 for key in (*plan, *value):
                     if (key in plan) != (key in value):
                         state = "missing" if key in plan else "unknown"
@@ -265,13 +275,30 @@ def _loader(tp):
         item = _loader(args[0])
 
         def load(value, path):
+            if not isinstance(value, list):
+                raise _refuse(path, "an array", value)
             return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
     elif args:  # Optional[X]
-        return _loader(args[0])
-    else:
+        item = _loader(args[0])
+
         def load(value, path):
-            return tp(value)
-    return lambda value, path: None if value is None else load(value, path)
+            return None if value is None else item(value, path)
+    elif tp is int:
+        def load(value, path):
+            if type(value) is not int:  # a bool is not a count
+                raise _refuse(path, "an integer", value)
+            return value
+    elif tp is float:
+        def load(value, path):
+            if type(value) not in (int, float):
+                raise _refuse(path, "a number", value)
+            try:
+                return float(value)
+            except OverflowError:  # an integer past the float range
+                raise _refuse(path, "a number in the float range", value) from None
+    else:
+        raise TypeError(f"a report holds no field of type {tp!r}")
+    return load
 
 
 def _dump(value):
@@ -313,8 +340,9 @@ class BoundsReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoundsReport":
-        """Rebuild a report from its `to_dict` form; a missing or unknown field
-        raises ModelError naming its dotted path, e.g. 'brackets[0].upper_j'."""
+        """Rebuild a report from its `to_dict` form; a missing or unknown field, or
+        a value of the wrong type, raises ModelError naming its dotted path,
+        e.g. 'brackets[0].upper_j'."""
         return _loader(cls)(d, "")
 
 

@@ -27,27 +27,40 @@ Consequences:
 
 One block driver
 ----------------
-An estimator is a stream tag, a count of uniforms per sample row, and a
-function from a block of uniform rows to one contribution per row.
-`_contributions` draws the rows BLOCK_ROWS at a time with `_uniform_block`,
-maps each block and concatenates; `_estimate_from` reduces once.  Within a
-block the layers are: uniforms, inverse CDF (`_indices_from_uniform`),
-statistic evaluation and the per-row contribution.  S is evaluated in one
-of two ways.  `Statistic.on_indices` evaluates whole index rows: the
-variance's draws, the bias's fresh draw, and every replaced set of `max`
-and `poly`.  `_replaced`, the one place two index blocks mix, evaluates a
-replaced set J of `table`, `sum` and `ustat2` from the term tables of
-`Statistic._bind` (which checks the fit): it sums each feature over the
+An estimator is a stream tag, a count of uniforms per sample row, its
+draws and a function from a block of rows to one contribution per row.
+A draw is a list of coordinates: the row's next columns, each turned into
+a support index by its coordinate's CDF.  `_contributions` pays the
+per-estimate setup once, before the first block: `_Setup` binds S to the
+space (`Statistic._bind`, which refuses a misfit) and `_cdf_runs` groups
+each draw's columns into runs that share a CDF.  It then draws the rows
+BLOCK_ROWS = 1024 at a time with `_uniform_block`, inverts each draw of
+the block with its runs (`_invert`), maps the block and concatenates;
+`_estimate_from` reduces once.  Within a block the layers are: uniforms,
+inverse CDF, statistic evaluation and the per-row contribution.  S is
+evaluated in one of two ways, both from the one binding.
+`_Setup.evaluate` (`Statistic._on_rows`, which checks the index rows)
+evaluates whole rows: the variance's draws, the bias's fresh draw, and
+every replaced set of `max` and `poly`.  `_replaced`, the one place two
+index blocks mix, evaluates a replaced set J of `table`, `sum` and
+`ustat2` from the binding's term tables: it sums each feature over the
 base row once, as `Statistic._at` does, and adds the change at each
 position of J, so a set costs O(|J|) numpy calls in place of O(n).
-Memory is bounded by one block of uniforms, indices and statistic
-values, plus for those three kinds one (rows, positions) array of
-changes per feature (two for `ustat2`), plus at most 64 running
+
+Memory is bounded per block.  A row of `width` uniforms is drawn as 4B <=
+width + 3 float64 values and inverted into at most as many int64 indices,
+so each of those two arrays takes at most 8 * 1024 * (width + 3) bytes
+(640 KiB for the 80 columns of a variance at n = 40); the uniforms are
+freed once inverted, before S is evaluated.  Add the statistic values of
+the block, for `table`, `sum` and `ustat2` one block column of changes
+per position and feature (two features for `ustat2`), at most 64 running
 differences of one block column per completion in an enumerated moment,
-plus 8 bytes per sample.  BLOCK_ROWS is a constant, not an option,
-because no partition changes a result; that holds because every step is
-row-local (no BLAS product or row reduction, whose rounding depends on
-the block shape).
+and 8 bytes per sample.  BLOCK_ROWS is a constant, not an option, because
+no partition changes a result; that holds because every step is row-local
+(no BLAS product or row reduction, whose rounding depends on the block
+shape).  A smaller block costs only the per-block numpy calls, since the
+binding and the runs are not rebuilt; an estimate of R rows makes
+ceil(R / 1024) blocks and one binding.
 
 The block generator
 -------------------
@@ -123,7 +136,7 @@ TAG_PROJECTED_BASE = 2 << 16  # + k
 TAG_DIFF_BASE = 3 << 16  # + subset bitmask
 
 ENUMERATE_SUBSET_LIMIT = 64
-BLOCK_ROWS = 8192
+BLOCK_ROWS = 1024
 _COUNT_SUPPORT = 64  # largest support inverted by counting thresholds; faster, never different
 
 
@@ -208,11 +221,28 @@ def _indices_from_uniform(cdfs, u: np.ndarray, coords=None) -> np.ndarray:
     """
     if coords is None:
         coords = range(1, u.shape[-1] + 1)
-    idx = np.empty(u.shape, dtype=np.int64)
-    stop = 0
+    return _invert(_cdf_runs(cdfs, coords), u)
+
+
+def _cdf_runs(cdfs, coords) -> list[tuple[int, int, np.ndarray]]:
+    """(start, stop, thresholds) of each run of adjacent columns with one CDF.
+
+    Column j is read by the CDF of coordinate coords[j] (1-based); a run's
+    thresholds are its CDF without the last entry.  An estimate builds its
+    runs once (`_contributions`) and inverts every block with them.
+    """
+    runs, stop = [], 0
     for _, run in itertools.groupby((cdfs[c - 1] for c in coords), key=np.ndarray.tobytes):
         thresholds = next(run)[:-1]
         start, stop = stop, stop + 1 + sum(1 for _ in run)
+        runs.append((start, stop, thresholds))
+    return runs
+
+
+def _invert(runs, u: np.ndarray) -> np.ndarray:
+    """Support indices of u, whose columns are the runs of `_cdf_runs`; see `_indices_from_uniform`."""
+    idx = np.empty(u.shape, dtype=np.int64)
+    for start, stop, thresholds in runs:
         out, block = idx[..., start:stop], u[..., start:stop]
         if thresholds.size < _COUNT_SUPPORT:
             out.fill(0)
@@ -233,55 +263,92 @@ def sample_outcomes(space: ProductSpace, count: int, seed: int, start: int = 0) 
     return vals
 
 
-def _contributions(space, statistic, cfg, tag, width, contribute, start=0, count=None) -> np.ndarray:
-    """Rows [start, start + count) of contribute(cdfs, u), count defaulting to all."""
-    statistic.validate(space)
+class _Setup:
+    """What an estimate fixes before its first block: S bound to the space.
+
+    Building one runs `Statistic._bind`, which raises if S does not fit;
+    nothing else in the engine binds.  For a kind whose binding has a
+    finish it also concatenates each feature's tables and records each
+    coordinate's offset into them, which `_replaced` gathers from.
+    """
+
+    def __init__(self, space: ProductSpace, statistic: Statistic):
+        self.space, self.statistic = space, statistic
+        self.binding = statistic._bind(space)
+        self.features, self.finish = self.binding
+        if self.finish is not None:
+            self.offsets = np.concatenate(([0], np.cumsum(space.shape[:-1], dtype=np.int64)))
+            self.flat = [np.concatenate(tables) for tables in self.features]
+
+    def evaluate(self, idx: np.ndarray) -> np.ndarray:
+        """S at whole index rows: `Statistic._on_rows` on the one binding, rows still checked."""
+        return self.statistic._on_rows(self.space, self.binding, idx)
+
+
+def _contributions(space, statistic, cfg, tag, width, draws, contribute, start=0, count=None) -> np.ndarray:
+    """Rows [start, start + count) of contribute(setup, idx, rest), count defaulting to all.
+
+    A block of (rows, width) uniforms holds the draws in its first
+    columns, one after another: draws[d] lists the coordinate (1-based)
+    whose CDF reads each column of draw d, and idx[d] is its (rows,
+    len(draws[d])) array of support indices.  rest is a copy of the
+    columns after the draws, so the block's uniforms are freed before S is
+    evaluated.  The `_Setup` and each draw's inverse-CDF runs are built
+    once, before the first block.
+    """
+    setup = _Setup(space, statistic)
     cdfs = _cdfs(space)
+    ends = list(itertools.accumulate(map(len, draws), initial=0))
+    plan = [(lo, hi, _cdf_runs(cdfs, coords)) for lo, hi, coords in zip(ends, ends[1:], draws)]
     stop = start + (cfg.outer_samples if count is None else count)
+
+    def block(lo):
+        u = _uniform_block(cfg.seed, tag, lo, min(BLOCK_ROWS, stop - lo), width)
+        idx = [_invert(runs, u[:, a:b]) for a, b, runs in plan]
+        rest = u[:, ends[-1] :].copy()
+        del u
+        return contribute(setup, idx, rest)
+
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite contribution is refused just below
-        out = np.concatenate([
-            contribute(cdfs, _uniform_block(cfg.seed, tag, lo, min(BLOCK_ROWS, stop - lo), width))
-            for lo in range(start, stop, BLOCK_ROWS)
-        ])
+        out = np.concatenate([block(lo) for lo in range(start, stop, BLOCK_ROWS)])
     if not np.isfinite(out).all():
         raise NonFiniteError("the statistic overflows on sampled outcomes: non-finite contributions")
     return out
 
 
-def _replaced(space, statistic, base, repl, positions, masks):
+def _replaced(setup: _Setup, base, repl, positions, masks):
     """(J, S(base with the positions in J taken from repl)) for each bitmask J of masks.
 
     Bit t of J stands for positions[..., t]: one (width,) column list shared
     by every row, or one (rows, width) list per row.  This is the only
     place an estimator mixes two index blocks.  An additive kind (one
-    whose `Statistic._bind` returns a finish) sums each feature over the
-    base row once, as `Statistic._at` does, and adds the change of J's
-    positions to it in ascending bit order, so a set costs O(|J|); `max`
-    and `poly` evaluate a mixed copy of the block.
+    whose binding has a finish) sums each feature over the base row once,
+    as `Statistic._at` does, and adds the change of J's positions to it in
+    ascending bit order, so a set costs O(|J|); `max` and `poly` evaluate a
+    mixed copy of the block.
     """
     positions = np.asarray(positions)
-    rows = np.arange(base.shape[0])[:, None] if positions.ndim == 2 else slice(None)
-    features, finish = statistic._bind(space)
-    if finish is not None:
-        # each position's first entry in a feature's tables, concatenated
-        offsets = np.concatenate(([0], np.cumsum(space.shape[:-1], dtype=np.int64)))[positions]
-        at_base, at_repl = offsets + base[rows, positions], offsets + repl[rows, positions]
-        sums, deltas = [], []
-        for tables in features:
-            sums.append(_accumulate(tables, base.T))
-            flat = np.concatenate(tables)
-            deltas.append((flat[at_repl] - flat[at_base]).T.copy())  # row t: the change at position t
+    rows = np.arange(base.shape[0]) if positions.ndim == 2 else slice(None)  # row r reads its own columns
+    columns = list(positions.T)  # position t's column: one for every row, or one per row
+    if setup.finish is not None:
+        sums = [_accumulate(tables, base.T) for tables in setup.features]
+        deltas = []  # deltas[t][f]: the change of feature f at position t, one block column each
+        for col in columns:
+            at = setup.offsets[col]  # the column's first entry in each feature's flat tables
+            at_base, at_repl = at + base[rows, col], at + repl[rows, col]
+            deltas.append([flat[at_repl] - flat[at_base] for flat in setup.flat])
     for mask in masks:
-        bits = [t for t in range(positions.shape[-1]) if mask >> t & 1]
-        if finish is None:
+        bits = [t for t in range(len(columns)) if mask >> t & 1]
+        if setup.finish is None:
             mix = base.copy()
-            mix[rows, positions[..., bits]] = repl[rows, positions[..., bits]]
-            yield mask, statistic.on_indices(space, mix)
+            for t in bits:
+                mix[rows, columns[t]] = repl[rows, columns[t]]
+            yield mask, setup.evaluate(mix)
             continue
         mixed = sums
         for t in bits:
-            mixed = [total + delta[t] for total, delta in zip(mixed, deltas)]
-        yield mask, finish(*mixed)
+            mixed = [total + delta for total, delta in zip(mixed, deltas[t])]
+        yield mask, setup.finish(*mixed)
 
 
 def _masks(width: int, k: int):
@@ -299,7 +366,7 @@ def _masks(width: int, k: int):
             mask += mask & -mask
 
 
-def _differences(space, statistic, base, repl, positions, k, subsets) -> list[np.ndarray]:
+def _differences(setup: _Setup, base, repl, positions, k, subsets) -> list[np.ndarray]:
     """D_I = sum_{J subset of I} (-1)^|J| S(base with J taken from repl) for each I of subsets.
 
     subsets are k-bit masks over `positions` (as in `_replaced`).  Each J of
@@ -310,7 +377,7 @@ def _differences(space, statistic, base, repl, positions, k, subsets) -> list[np
     diffs = [np.zeros(base.shape[0]) for _ in subsets]
     where = {mask: w for w, mask in enumerate(subsets)}
     width = np.shape(positions)[-1]
-    for J, value in _replaced(space, statistic, base, repl, positions, _masks(width, k)):
+    for J, value in _replaced(setup, base, repl, positions, _masks(width, k)):
         term = -value if J.bit_count() % 2 else value
         targets = [where[J]] if J in where else [w for w, mask in enumerate(subsets) if mask & J == J]
         for w in targets:
@@ -346,7 +413,7 @@ def _enumerates(n: int, k: int) -> bool:
     return math.comb(n, k) <= ENUMERATE_SUBSET_LIMIT
 
 
-def _over_subsets(space, statistic, k: int, rank_u: np.ndarray, completions, weight: float) -> np.ndarray:
+def _over_subsets(setup: _Setup, k: int, rank_u: np.ndarray, completions, weight: float) -> np.ndarray:
     """Unbiased per-row estimate of weight * sum over all k-subsets I of D_I D'_I.
 
     completions holds one (base, repl) pair of index blocks, whose
@@ -356,18 +423,18 @@ def _over_subsets(space, statistic, k: int, rank_u: np.ndarray, completions, wei
     takes the subset of lexicographic rank floor(rank_u * C(n,k)), weighted
     by C(n,k).
     """
-    n = space.n
+    n = setup.space.n
     n_subsets = math.comb(n, k)
     if _enumerates(n, k):
         subsets = [sum(1 << c for c in s) for s in itertools.combinations(range(n), k)]
-        diffs = [_differences(space, statistic, base, repl, np.arange(n), k, subsets) for base, repl in completions]
+        diffs = [_differences(setup, base, repl, np.arange(n), k, subsets) for base, repl in completions]
         total = np.zeros(rank_u.shape[0])
         for d in zip(*diffs):
             total += d[0] * d[-1]
         return weight * total
     ranks = np.minimum((rank_u * n_subsets).astype(np.int64), n_subsets - 1)
     positions = _unrank_combinations(ranks, n, k)
-    d = [_differences(space, statistic, base, repl, positions, k, [(1 << k) - 1])[0] for base, repl in completions]
+    d = [_differences(setup, base, repl, positions, k, [(1 << k) - 1])[0] for base, repl in completions]
     return (weight * n_subsets) * (d[0] * d[-1])
 
 
@@ -386,8 +453,9 @@ def _check_k(space: ProductSpace, k: int) -> tuple[int, float]:
 def evaluations_per_row(space: ProductSpace, family: str, k: int = 0) -> int:
     """Evaluations of S per sample row of one estimator: replaced sets and whole rows.
 
-    A replaced set is a `Statistic.on_indices` row for `max` and `poly`, and
-    a sum of changes from `Statistic._bind`'s tables (`_replaced`) otherwise.
+    A replaced set is a whole-row evaluation (`_Setup.evaluate`) for `max`
+    and `poly`, and a sum of changes from `Statistic._bind`'s tables
+    (`_replaced`) otherwise.
 
     family is "ej" or "ek" for the total or projected moment of order k,
     "diff" for the difference moment of a k-coordinate set, "var" or
@@ -431,13 +499,13 @@ def estimate_iterated_jackknife(
     k, kf = _check_k(space, k)
     n = space.n
 
-    def contribute(cdfs, u):
-        x = _indices_from_uniform(cdfs, u[:, :n])
-        y = _indices_from_uniform(cdfs, u[:, n : 2 * n])
-        return _over_subsets(space, statistic, k, u[:, 2 * n], [(x, y)], kf / 2.0**k)
+    def contribute(setup, idx, rest):
+        x, y = idx  # the coordinates and their copies
+        return _over_subsets(setup, k, rest[:, 0], [(x, y)], kf / 2.0**k)  # rest[:, 0]: the subset rank
 
+    coords = range(1, n + 1)
     return _estimate_from(
-        _contributions(space, statistic, cfg, TAG_TOTAL_BASE + k, 2 * n + 1, contribute)
+        _contributions(space, statistic, cfg, TAG_TOTAL_BASE + k, 2 * n + 1, [coords] * 2, contribute)
     )
 
 
@@ -452,13 +520,12 @@ def estimate_projected_jackknife(
     k, kf = _check_k(space, k)
     n = space.n
 
-    def contribute(cdfs, u):
-        x = _indices_from_uniform(cdfs, u[:, :n])
-        first = _indices_from_uniform(cdfs, u[:, n : 2 * n])
-        second = _indices_from_uniform(cdfs, u[:, 2 * n : 3 * n])
-        return _over_subsets(space, statistic, k, u[:, 3 * n], [(first, x), (second, x)], kf)
+    def contribute(setup, idx, rest):
+        x, first, second = idx  # the coordinates and two completions
+        return _over_subsets(setup, k, rest[:, 0], [(first, x), (second, x)], kf)
 
-    contribs = _contributions(space, statistic, cfg, TAG_PROJECTED_BASE + k, 3 * n + 1, contribute)
+    coords = range(1, n + 1)
+    contribs = _contributions(space, statistic, cfg, TAG_PROJECTED_BASE + k, 3 * n + 1, [coords] * 3, contribute)
     return _estimate_from(contribs, flag_negative=True)
 
 
@@ -466,13 +533,14 @@ def estimate_variance(space: ProductSpace, statistic: Statistic, cfg: McConfig) 
     """Unbiased variance estimate from independent-draw half squared differences."""
     n = space.n
 
-    def contribute(cdfs, u):
-        x = _indices_from_uniform(cdfs, u[:, :n])
-        x2 = _indices_from_uniform(cdfs, u[:, n:])
-        d = statistic.on_indices(space, x) - statistic.on_indices(space, x2)
+    def contribute(setup, idx, rest):
+        # both draws x, x2 as one draw of 2n columns, evaluated at once as index rows 2r and 2r + 1
+        values = setup.evaluate(idx[0].reshape(-1, n))
+        d = values[0::2] - values[1::2]
         return 0.5 * d * d
 
-    return _estimate_from(_contributions(space, statistic, cfg, TAG_VAR, 2 * n, contribute))
+    draw = [*range(1, n + 1)] * 2
+    return _estimate_from(_contributions(space, statistic, cfg, TAG_VAR, 2 * n, [draw], contribute))
 
 
 def estimate_difference_moment(
@@ -491,15 +559,16 @@ def estimate_difference_moment(
     n = space.n
     cols = [i - 1 for i in iset.indices]
 
-    def contribute(cdfs, u):
-        x = _indices_from_uniform(cdfs, u[:, :n])
+    def contribute(setup, idx, rest):
+        x, copies = idx
         repl = np.zeros_like(x)  # the fresh copies; `_replaced` reads only their columns
-        repl[:, cols] = _indices_from_uniform(cdfs, u[:, n:], coords=iset.indices)
-        (d,) = _differences(space, statistic, x, repl, cols, len(cols), [(1 << len(cols)) - 1])
+        repl[:, cols] = copies
+        (d,) = _differences(setup, x, repl, cols, len(cols), [(1 << len(cols)) - 1])
         return d * d
 
+    draws = [range(1, n + 1), iset.indices]
     return _estimate_from(
-        _contributions(space, statistic, cfg, tag, n + len(cols), contribute)
+        _contributions(space, statistic, cfg, tag, n + len(cols), draws, contribute)
     )
 
 
@@ -546,17 +615,17 @@ def efron_stein_bias(space: ProductSpace, statistic: Statistic, cfg: McConfig) -
         raise ModelError("bias construction requires identically distributed coordinates")
     n = space.n
 
-    def contribute(cdfs, u):
-        x = _indices_from_uniform(cdfs, u[:, :n])
-        copy = _indices_from_uniform(cdfs, u[:, n : n + 1], coords=[1])
-        x2 = _indices_from_uniform(cdfs, u[:, n + 1 :])
+    def contribute(setup, idx, rest):
+        x, copy, x2 = idx  # the coordinates, one copy shared by all of them, a fresh draw
         masks = [1 << i for i in range(n)] + [0]  # the n leave-one-in values, then the base value
-        replaced = _replaced(space, statistic, x, np.broadcast_to(copy, x.shape), np.arange(n), masks)
+        replaced = _replaced(setup, x, np.broadcast_to(copy, x.shape), np.arange(n), masks)
         resampled = np.column_stack([value for _, value in replaced])
         base_vals = resampled[:, n]
         centered = resampled - resampled.mean(axis=1, keepdims=True)
         leave_one_spread = (centered * centered).sum(axis=1)
-        half_sq = 0.5 * (base_vals - statistic.on_indices(space, x2)) ** 2
+        half_sq = 0.5 * (base_vals - setup.evaluate(x2)) ** 2
         return leave_one_spread - half_sq
 
-    return _estimate_from(_contributions(space, statistic, cfg, TAG_BIAS, 2 * n + 1, contribute))
+    coords = range(1, n + 1)
+    draws = [coords, [1], coords]
+    return _estimate_from(_contributions(space, statistic, cfg, TAG_BIAS, 2 * n + 1, draws, contribute))

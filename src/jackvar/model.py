@@ -40,6 +40,7 @@ import numpy as np
 
 DEFAULT_OUTCOME_CAP = 1 << 24
 PROB_SUM_TOL = 1e-12
+_SHORT_REALS = 16  # longest list `_reals` checks in Python
 
 # each statistic kind and its params fields (at most one, whose value is `Statistic`'s params)
 STATISTIC_PARAMS = {"table": ("values",), "sum": ("weights",), "max": (), "ustat2": ("g",), "poly": ("terms",)}
@@ -96,7 +97,10 @@ def _reals(what: str, values, expected: str = "an array of reals") -> np.ndarray
     """`values` as a fresh 1-D float64 array of finite reals, or a ModelError naming `what`.
 
     An entry is a `numbers.Real`, never a bool or a string, an array has an
-    int, uint or float dtype, and an int past the float range is refused."""
+    int, uint or float dtype, and an int past the float range is refused.
+    A list of at most _SHORT_REALS Python ints and floats is checked in
+    Python, where numpy's per-call cost would dominate; the array and every
+    refusal are the same either way."""
     if isinstance(values, np.ndarray):
         if values.dtype.kind not in "iuf":
             raise ModelError(f"{what}: expected {expected}, got an array of dtype {values.dtype}")
@@ -107,6 +111,15 @@ def _reals(what: str, values, expected: str = "an array of reals") -> np.ndarray
             for i, v in enumerate(items):
                 if isinstance(v, bool) or not isinstance(v, numbers.Real):
                     raise ModelError(f"{what}: expected {expected}; entry {i} is {v!r}")
+        elif len(items) <= _SHORT_REALS:
+            try:
+                items = [float(v) for v in items]
+            except OverflowError:
+                raise ModelError(f"{what}: expected {expected}, got a number outside the float range") from None
+            for i, v in enumerate(items):
+                if not math.isfinite(v):
+                    raise ModelError(f"{what}[{i}]: {v!r} is not a finite real")
+            return np.array(items)
         try:
             arr = np.array(items, dtype=np.float64)
         except OverflowError:
@@ -364,7 +377,9 @@ class Statistic:
 
     `_bind`, the one method that reads a space, checks the fit and writes
     each kind's formula as per-coordinate tables, which `validate`,
-    `on_grid`, `on_indices` and `mc._replaced` all start from.  `_at`
+    `on_grid`, `on_indices` and the Monte Carlo engine all start from (an
+    estimate binds once and hands the tables to `_on_rows` and
+    `mc._replaced` for every block).  `_at`
     evaluates them for the exact grid and Monte Carlo rows alike, as an
     elementwise accumulation over the coordinates in ascending order, so
     an entry reads only its own indices and gets the same operations
@@ -461,7 +476,8 @@ class Statistic:
         the support values, for `poly` (coef, [x_c^e, None where e = 0]) per
         term, and finish is None.  A term past the float range is held as
         inf, without a numpy warning: where S is evaluated, `tabulate` and
-        `mc._contributions` refuse it.
+        `mc._contributions` refuse it.  The tables are never written, so a
+        binding may be reused for every evaluation on the same space.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             if self.kind == "table":
@@ -508,9 +524,17 @@ class Statistic:
 
         idx is an integer (N, n) array, column c in 0..m_{c+1}-1 (else
         `ModelError` names the row and the coordinate); returns shape (N,).
-        The Monte Carlo engine's path: it never builds the joint grid.
+        It never builds the joint grid.
         """
-        binding = self._bind(space)
+        return self._on_rows(space, self._bind(space), idx)
+
+    def _on_rows(self, space: ProductSpace, binding, idx) -> np.ndarray:
+        """`on_indices` with `binding = self._bind(space)` made by the caller.
+
+        The Monte Carlo engine's one whole-row evaluator: an estimate binds
+        once and evaluates every block through here; the index rows are
+        still checked on each call.
+        """
         idx = np.asarray(idx)
         if idx.ndim != 2 or idx.shape[1] != space.n or idx.dtype.kind not in "iu":
             raise ModelError(f"index rows: expected integers of shape (rows, {space.n}), "

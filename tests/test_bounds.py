@@ -220,6 +220,45 @@ class TestReport:
         with pytest.raises(jv.ModelError, match=message):
             jv.BoundsReport.from_dict(doc)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(var_exact=None), "'var_exact': expected a number, got None"),
+        (lambda d: d.update(ej=[None, "2.5", 3]), r"'ej\[0\]': expected a number, got None"),
+        (lambda d: d.update(ej=[1.0, "2.5"]), r"'ej\[1\]': expected a number, got '2.5'"),
+        (lambda d: d.update(n=3.7), "'n': expected an integer, got 3.7"),
+        (lambda d: d.update(n=2.0), "'n': expected an integer, got 2.0"),
+        (lambda d: d.update(mean=True), "'mean': expected a number, got True"),
+        (lambda d: d.update(mean=10**400), "'mean': expected a number in the float range"),
+        (lambda d: d["brackets"][0].update(p=False), r"'brackets\[0\].p': expected an integer, got False"),
+        (lambda d: d.update(brackets=None), "'brackets': expected an array, got None"),
+        (lambda d: d.update(spectrum="0.5"), "'spectrum': expected an array, got '0.5'"),
+        (lambda d: d.update(p0_chain=None), "'p0_chain': expected an object, got None"),
+        (lambda d: d.update(corollary=[1, 0.0, 1.0]), "'corollary': expected an object, got"),
+        (lambda d: d["corollary"].update(degree="1"), "'corollary.degree': expected an integer, got '1'"),
+    ])
+    def test_load_refuses_a_wrong_type(self, u2_cache, edit, message):
+        # these loaded as None, (None, 2.5, 3.0), 3 and 1.0: null was taken
+        # anywhere and each scalar was passed through its type's constructor
+        doc = json.loads(json.dumps(jv.exact_report(u2_cache).to_dict()))
+        assert doc["corollary"] is not None
+        edit(doc)
+        with pytest.raises(jv.ModelError, match=message):
+            jv.BoundsReport.from_dict(doc)
+
+    def test_load_refuses_a_report_that_is_not_an_object(self):
+        with pytest.raises(jv.ModelError, match="^the report: expected an object, got None$"):
+            jv.BoundsReport.from_dict(None)
+
+    def test_load_takes_what_json_may_write(self, u2_cache):
+        doc = json.loads(json.dumps(jv.exact_report(u2_cache).to_dict()))
+        doc.update(corollary=None, mean=1, ej=[2, *doc["ej"][1:]])  # the one Optional field, ints for floats
+        rep = jv.BoundsReport.from_dict(doc)
+        assert rep.corollary is None
+        assert type(rep.mean) is float and rep.mean == 1.0 and type(rep.ej[0]) is float
+        assert rep.to_dict() == doc
+        built = bounds._plan.cache_info().misses
+        assert jv.BoundsReport.from_dict(rep.to_dict()) == rep
+        assert bounds._plan.cache_info().misses == built  # each class's plan was built once
+
     def test_spectrum_snap_keeps_raw(self, prod_cache):
         rep = jv.exact_report(prod_cache)
         # degree 1 mass is a pure rounding residue: snapped to exactly 0

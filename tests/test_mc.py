@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,6 +405,38 @@ class TestBlockDriver:
         monkeypatch.setattr(mc, "BLOCK_ROWS", 1 << 20)
         assert np.array_equal(mc._contributions(*args), whole)
 
+    @pytest.mark.parametrize("samples", [30, mc.BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("name", ESTIMATORS)
+    def test_one_binding_per_estimate(self, monkeypatch, name, kind, samples):
+        # every block used to bind S again (twice per block for the variance)
+        if name.endswith("-sampled"):
+            monkeypatch.setattr(mc, "ENUMERATE_SUBSET_LIMIT", 0)
+        bound, blocks = [], []
+        bind, draw = jv.Statistic._bind, mc._uniform_block
+        monkeypatch.setattr(jv.Statistic, "_bind", lambda *a: bound.append(a) or bind(*a))
+        monkeypatch.setattr(mc, "_uniform_block", lambda *a: blocks.append(a) or draw(*a))
+        est = ESTIMATORS[name](KINDS[kind], jv.McConfig(seed=29, outer_samples=samples))
+        assert est.samples == samples
+        assert len(bound) == 1 and len(blocks) == -(-samples // mc.BLOCK_ROWS)
+
+    def test_peak_memory_is_one_block(self):
+        # a projected moment at n = 300 holds one block of 3n + 1 uniforms and as many
+        # indices, whatever the sample count; blocks of up to 8192 rows peaked at 43 MiB
+        # for 3000 samples and 115 MiB for 12000
+        n = 300
+        space, stat = jv.build_space([LAW] * n), catalog(n)["ustat2"]
+        peaks = []
+        for samples in (3000, 12000):
+            tracemalloc.start()
+            try:
+                jv.estimate_projected_jackknife(space, stat, 2, jv.McConfig(seed=3, outer_samples=samples))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * min(peaks)
+        assert max(peaks) < 3 * 8 * mc.BLOCK_ROWS * (3 * n + 4)
+
     def test_overflow_raises(self):
         big = jv.build_space([jv.DiscreteDistribution([1e200, 1.0], [0.5, 0.5])] * 2)
         cube = jv.Statistic.polynomial([(1.0, (3, 0))])
@@ -532,10 +565,10 @@ class TestSubsetPlan:
 
 @pytest.fixture
 def evaluated(monkeypatch):
-    """Rows of every Statistic.on_indices call during the test."""
+    """Rows of every whole-row evaluation (`Statistic._on_rows`, under `on_indices` too) during the test."""
     rows = []
-    on_indices = jv.Statistic.on_indices
-    monkeypatch.setattr(jv.Statistic, "on_indices", lambda *a: rows.append(len(a[2])) or on_indices(*a))
+    on_rows = jv.Statistic._on_rows
+    monkeypatch.setattr(jv.Statistic, "_on_rows", lambda *a: rows.append(len(a[3])) or on_rows(*a))
     return rows
 
 
@@ -558,7 +591,7 @@ class TestSharedEvaluations:
         for k in range(1, n + 1):
             subsets = list(itertools.combinations(range(n), k))
             masks = [sum(1 << c for c in subset) for subset in subsets]
-            shared = mc._differences(IID, stat, base, repl, np.arange(n), k, masks)
+            shared = mc._differences(mc._Setup(IID, stat), base, repl, np.arange(n), k, masks)
             assert len(shared) == len(subsets)
             for d, subset in zip(shared, subsets):
                 positions = np.broadcast_to(np.asarray(subset), (rows, k))
@@ -577,7 +610,7 @@ class TestSharedEvaluations:
         base, repl = rng.integers(0, 3, (rows, n)), rng.integers(0, 3, (rows, n))
         for k in range(1, n + 1):
             positions = np.sort(rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)[:, :k], axis=1)
-            (d,) = mc._differences(IID, stat, base, repl, positions, k, [(1 << k) - 1])
+            (d,) = mc._differences(mc._Setup(IID, stat), base, repl, positions, k, [(1 << k) - 1])
             want = alternating_eval(IID, stat, base, repl, positions)
             if kind in ROUNDED_KINDS:
                 assert np.abs(d - want).max() <= 1e-12 * scale, k
@@ -694,8 +727,9 @@ class TestDeltaEvaluation:
         stat = stats[kind]
         rng = np.random.default_rng(23)
         for label, base, repl, positions, masks in self.plans(space, rng, 300):
+            setup = mc._Setup(space, stat)
             evaluated.clear()
-            got = list(mc._replaced(space, stat, base, repl, positions, masks))
+            got = list(mc._replaced(setup, base, repl, positions, masks))
             # max and poly evaluate one mixed block per set, the other kinds none
             assert len(evaluated) == (len(masks) if kind in ("max", "poly") else 0), label
             assert [mask for mask, _ in got] == masks, label

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import jackvar as jv
-from jackvar import bounds, mc
+from jackvar import bounds, mc, model
 from jackvar.model import DEFAULT_OUTCOME_CAP, GridSizeError, as_index_set
 
 from bruteforce import BruteSpace, mean as brute_mean, statistic_at, variance as brute_variance
@@ -315,6 +315,26 @@ class TestOneDecoder:
         with pytest.raises(jv.ModelError, match=r"^unknown statistic kind "):
             jv.Statistic(kind, ())
 
+    @pytest.mark.parametrize("values", [
+        [], [0.25], (1, 2.5), [0.0, -0.0, 3], [2**53 + 1, -(2**63)], [1e308, 5e-324],
+        [1.0, float("nan")], (float("-inf"),), [1, 10**400], [0.5, True], [1.0, "2"], [None], [1.0, 1j],
+        [Fraction(1, 3), 2.0], [np.float64(1.5)],
+    ])
+    def test_short_list_path_matches_numpy(self, monkeypatch, values):
+        # a short list of ints and floats is checked in Python, anything else by numpy
+        def decode():
+            try:
+                got = model._reals("x", values)
+            except jv.ModelError as refused:
+                return str(refused)
+            assert got.dtype == np.float64 and got.ndim == 1 and got.flags.writeable
+            return got.tobytes()
+
+        assert len(values) <= model._SHORT_REALS
+        short = decode()
+        monkeypatch.setattr(model, "_SHORT_REALS", -1)
+        assert decode() == short
+
     def test_numbers_of_any_real_type(self):
         law = jv.DiscreteDistribution(np.array([0, 2], dtype=np.uint8), (Fraction(1, 4), np.float32(0.75)))
         assert law == jv.DiscreteDistribution([0.0, 2.0], [0.25, 0.75])
@@ -498,17 +518,22 @@ class TestBinding:
     @staticmethod
     def entry_points(space, stat):
         rows = np.zeros((4, space.n), dtype=np.int64)
+        cfg = jv.McConfig(seed=1, outer_samples=4)
         return {
             "validate": lambda: stat.validate(space),
             "on_grid": lambda: stat.on_grid(space),
             "on_indices": lambda: stat.on_indices(space, rows),
-            "_replaced": lambda: list(mc._replaced(space, stat, rows, rows + 1, np.arange(space.n), [0, 1])),
-            "estimate_variance": lambda: jv.estimate_variance(space, stat, jv.McConfig(seed=1, outer_samples=4)),
+            "_Setup": lambda: mc._Setup(space, stat),  # the one binding of a Monte Carlo estimate
+            "estimate_variance": lambda: jv.estimate_variance(space, stat, cfg),
+            "estimate_iterated_jackknife": lambda: jv.estimate_iterated_jackknife(space, stat, 1, cfg),
+            "estimate_projected_jackknife": lambda: jv.estimate_projected_jackknife(space, stat, 1, cfg),
+            "estimate_difference_moment": lambda: jv.estimate_difference_moment(space, stat, [1], cfg),
+            "efron_stein_bias": lambda: jv.efron_stein_bias(space, stat, cfg),
         }
 
     @pytest.mark.parametrize("stat, message", [pytest.param(*c[1:], id=c[0]) for c in MISFITS])
     def test_every_evaluation_refuses_a_misfit(self, stat, message):
-        # on_indices and _replaced evaluated a misfit without the check: a sum
+        # on_indices and mc._replaced evaluated a misfit without the check: a sum
         # with too few weights dropped coordinate 3, a short table gathered
         # past its values, a missing ustat2 entry died with a bare KeyError
         for name, call in self.entry_points(self.SPACE, stat).items():
