@@ -9,7 +9,8 @@ engine, and writes a JSON report (and optionally a CSV bracket table).
 Each flag is checked as the config field it overrides: `--engine` as
 `engine`, `--seed` as `mc.seed` (on a run that includes mc), `--out` as
 `output.path`.  Exit codes: 0 success, 1 config, engine or write error
-(an output file that cannot be written), 2 identity-suite failure.
+(an output file that cannot be written, or standard output closed by its
+reader), 2 identity-suite failure.
 
 Config schema (all fields except `distributions` and `statistic` optional):
 
@@ -50,6 +51,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -469,7 +471,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()  # a buffered stdout meets a closed reader here
+    except BrokenPipeError:
+        # the reader of stdout has gone (`jackvar selfcheck | head -1`): point
+        # stdout at devnull, so the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed before all output was written", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -26,11 +26,11 @@ ConsistencyError: convexity guarantees non-negativity, so a large negative
 is a bug, not noise.
 
 Shapes: averaging along a coordinate leaves a table that no longer depends
-on it, so `axis_mean`, `cond_mean_mask` and `var_sequence` return arrays of
-length 1 on every averaged axis and let numpy broadcasting stand in for the
-constant copies.  The full joint shape is built only where a `FieldTable`
-is handed out (the cache's tables and `iterated_variance`), by one
-`np.broadcast_to` at each such site.
+on it, so `axis_mean`, `cond_mean_mask`, `var_sequence` and the states of
+`VarianceStates` are arrays of length 1 on every averaged axis and let numpy
+broadcasting stand in for the constant copies.  The full joint shape is
+built only where a `FieldTable` is handed out (the cache's tables and
+`iterated_variance`), by one `np.broadcast_to` at each such site.
 
 Concurrency: the cache memoizes one table per coordinate subset (bitmask
 key, lazily populated, at most 2^n tables, each of grid size; only the
@@ -101,6 +101,56 @@ def var_sequence(space: ProductSpace, arr: np.ndarray, order) -> np.ndarray:
     a = axis_mean(space, var_sequence(space, arr, rest), head)
     b = var_sequence(space, axis_mean(space, arr, head), rest)
     return a - b
+
+
+class VarianceStates:
+    """Memo of the iterated-variance states var(B, S) of one base array.
+
+    var(B, S) is the defining recursion along S in ascending order, applied
+    to the base averaged over B in ascending order (`cond_mean_mask`'s
+    canonical order); var(B, {}) is that average itself.  Peeling s = min S:
+
+        var(B, S) = avg_s var(B, S \\ s) - var(B + s, S \\ s)
+        var(B, s) = avg_s (var(B, {}) - var(B + s, {}))^2
+
+    Keys are the bitmask pair (B, S) of disjoint sets, so every state is
+    built once and a memo holds at most 3^n.  The moment families are roots:
+    the total family is var({}, I), the projected var(~I, I) and the prefix
+    var({1..min I - 1}, I).  Where every coordinate of B lies below min S,
+    as in the total and prefix roots, the averages run in `var_sequence`'s
+    own order, so var({}, I) is bit for bit `var_sequence` along ascending I.
+    States are unclamped and, like `var_sequence`'s, have length 1 on every
+    axis of B and S.
+    """
+
+    def __init__(self, space: ProductSpace, base: np.ndarray):
+        self.space = space
+        self._states: dict[tuple[int, int], np.ndarray] = {(0, 0): base}
+
+    def state(self, averaged: int, varied: int) -> np.ndarray:
+        """var(B, S) for the bitmasks B = `averaged` and S = `varied`."""
+        key = (averaged, varied)
+        hit = self._states.get(key)
+        if hit is not None:
+            return hit
+        if not varied:
+            high = averaged.bit_length()
+            arr = axis_mean(self.space, self.state(averaged & ~(1 << (high - 1)), 0), high)
+        else:
+            low = varied & -varied
+            rest = varied & ~low
+            if rest:
+                arr = (axis_mean(self.space, self.state(averaged, rest), low.bit_length())
+                       - self.state(averaged | low, rest))
+            else:
+                arr = self._single(averaged, low.bit_length())
+        self._states[key] = arr
+        return arr
+
+    def _single(self, averaged: int, coord: int) -> np.ndarray:
+        """The base case var(B, c) = avg_c (var(B, {}) - var(B + c, {}))^2."""
+        spread = self.state(averaged, 0) - self.state(averaged | 1 << (coord - 1), 0)
+        return axis_mean(self.space, spread**2, coord)
 
 
 class CondExpCache:

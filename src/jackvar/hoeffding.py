@@ -112,9 +112,8 @@ class HoeffdingDecomposition:
 
     def superset_mass(self, indices) -> float:
         """Sum of E h_J^2 over supersets J of the given subset."""
-        iset = as_index_set(indices)
-        target = set(iset.indices)
-        vals = [m for s, m in self.masses.items() if target <= set(s.indices)]
+        target = as_index_set(indices).mask
+        vals = [m for s, m in self.masses.items() if s.mask & target == target]
         return float(np.sum(np.asarray(vals))) if vals else 0.0
 
     def subset_sum_table(self, indices) -> FieldTable:
@@ -123,12 +122,11 @@ class HoeffdingDecomposition:
         Equals the base averaged over the complement of the set, which the
         tests verify against the conditional cache directly.
         """
-        iset = as_index_set(indices)
-        target = set(iset.indices)
+        target = as_index_set(indices).mask
         space = next(iter(self.components.values())).space
         acc = np.full(space.shape, self.mean)
         for s, tab in self.components.items():
-            if set(s.indices) <= target:
+            if s.mask & ~target == 0:
                 acc = acc + tab.array
         return FieldTable(space, acc)
 

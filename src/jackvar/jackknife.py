@@ -102,33 +102,80 @@ def iterated_difference_moment(table: FieldTable, indices) -> float:
 
     It is computed on the extended grid of the tabulated statistic (base
     outcomes times one fresh copy axis per subset coordinate), which
-    `check_grid` must admit, in k = |I| passes: pass c applies (1 - P_c),
-    where P_c swaps coordinate c's axis with its copy axis.  The swaps
-    commute, so the product of the k factors is the signed sum over all 2^k
-    subsets J.  `mc.estimate_difference_moment` samples the same moment.
+    `check_grid` must admit, in k = |I| steps of `_difference_step`: step c
+    appends coordinate c's copy axis and applies (1 - P_c), where P_c swaps
+    c's axis with that copy axis.  The swaps commute, so the product of the
+    k factors is the signed sum over all 2^k subsets J.  `difference_moments`
+    takes the same steps depth first, one per subset, and both weigh the
+    result with `_second_moment`.  `mc.estimate_difference_moment` samples
+    the same moment.
     """
     space = table.space
     iset = as_index_set(indices).check_range(space.n)
-    k = len(iset)
-    if k == 0:
+    if len(iset) == 0:
         raise ModelError("difference moment needs a nonempty index set")
+    _check_extended(space, iset.indices)
+    diff = table.array
+    for coord in iset.indices:
+        diff = _difference_step(diff, coord)
+    return _second_moment(space, diff, iset.indices)
 
-    copy_sizes = tuple(space.shape[i - 1] for i in iset)
-    extended = space.n_outcomes * math.prod(copy_sizes)
-    space.check_grid(f"the extended grid for subset {list(iset.indices)}", extended, space.n + k)
 
-    n = space.n
-    diff = table.array.reshape(space.shape + (1,) * k)
-    for pos, coord in enumerate(iset.indices):  # (1 - P_c): coordinate c's axis swapped with its copy's
-        diff = diff - np.swapaxes(diff, coord - 1, n + pos)
+def difference_moments(table: FieldTable) -> dict[int, float]:
+    """`iterated_difference_moment` of every nonempty subset, keyed by bitmask.
 
-    weights = space.joint_weights().reshape(space.shape + (1,) * k)
-    for pos, coord in enumerate(iset.indices):
-        p = space.axis_probs(coord)
-        shape = [1] * (n + k)
-        shape[n + pos] = p.size
-        weights = weights * p.reshape(shape)
-    return float(np.sum(weights * diff * diff))
+    D_I = (1 - P_c) D_{I \\ c}, with c the highest coordinate of I, so a depth
+    first walk over the subsets (children add a coordinate above the parent's
+    highest) builds each table in one `_difference_step` from its parent's.
+    Only the chain of ancestor tables is alive, so the walk holds at most the
+    full extended grid plus its ancestors; each moment equals the one-subset
+    call's bit for bit.
+    """
+    space = table.space
+    moments = {}
+
+    def walk(diff, mask, coords):
+        for coord in range(mask.bit_length() + 1, space.n + 1):
+            child_coords = coords + (coord,)
+            _check_extended(space, child_coords)
+            child = _difference_step(diff, coord)
+            child_mask = mask | 1 << (coord - 1)
+            moments[child_mask] = _second_moment(space, child, child_coords)
+            walk(child, child_mask, child_coords)
+            del child
+
+    walk(table.array, 0, ())
+    return moments
+
+
+def _check_extended(space, coords) -> None:
+    """Refuse the extended grid of a subset that `check_grid` does not admit."""
+    extended = space.n_outcomes * math.prod(space.shape[c - 1] for c in coords)
+    space.check_grid(f"the extended grid for subset {list(coords)}", extended, space.n + len(coords))
+
+
+def _difference_step(diff: np.ndarray, coord: int) -> np.ndarray:
+    """(1 - P_c) D: append coordinate c's copy axis last, subtract D with c's axis swapped for it.
+
+    The result is C-ordered: base axes first, then the copy axes in the
+    order the steps appended them.
+    """
+    diff = diff[..., np.newaxis]
+    return np.subtract(diff, np.swapaxes(diff, coord - 1, -1), order="C")
+
+
+def _second_moment(space, diff: np.ndarray, coords) -> float:
+    """E D^2 over the extended grid, the copy axes contracted with their marginals first.
+
+    `diff` is C-ordered with one trailing copy axis per coordinate in
+    `coords`, in that order, so it is a (grid, copies) matrix without a
+    copy; `einsum` sums p(copies) D^2 row by row without forming D^2.
+    """
+    copies = np.ones(1)
+    for coord in coords:
+        copies = np.multiply.outer(copies, space.axis_probs(coord)).ravel()
+    rows = diff.reshape(space.n_outcomes, copies.size)
+    return float(space.joint_weights().ravel() @ np.einsum("ij,ij,j->i", rows, rows, copies))
 
 
 def classical_jackknife(values) -> float:

@@ -213,7 +213,7 @@ class IndexSet:
     def __contains__(self, i: int) -> bool:
         return i in self.indices
 
-    @property
+    @cached_property
     def mask(self) -> int:
         m = 0
         for i in self.indices:

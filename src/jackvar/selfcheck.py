@@ -16,6 +16,15 @@ moment families from their subset definitions (recursive iterated
 variances, projected and prefix-smoothed), runs `bounds.identity_residuals`
 on those sums, and compares them with the mass-derived moments
 (`oracle_vs_masses`).
+
+Each oracle subproblem is built once per instance and dropped when the
+check returns.  The three families are roots of one `VarianceStates` memo
+(the total var({}, I), the projected var(~I, I), the prefix
+var({1..min I - 1}, I)), and `difference_moments` builds every subset's
+extended-grid difference in one depth-first walk.  The checks those two
+share nothing with stay literal: `iterated_variance_ie` per subset, the
+recursion in a random order (`iterated_variance`, one `perm_rng` shuffle per
+subset of two or more, in mask order) and the pair decomposition.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ import numpy as np
 from .bounds import all_brackets, identity_residuals, p0_chain
 from .conditional import (
     CondExpCache,
+    VarianceStates,
     axis_mean,
     cond_mean_mask,
     iterated_variance,
@@ -37,7 +47,7 @@ from .conditional import (
     var_sequence,
 )
 from .hoeffding import decompose
-from .jackknife import JackknifeSpectrum, iterated_difference_moment
+from .jackknife import JackknifeSpectrum, difference_moments
 from .model import (
     DiscreteDistribution,
     IndexSet,
@@ -108,7 +118,10 @@ def check_instance(space, statistic, perm_rng: np.random.Generator) -> InstanceC
 
     # per-subset machinery, and the moment families summed from their
     # definitions: E var(I) of the base, of the base projected onto I, and
-    # of the base averaged over the coordinates before min(I)
+    # of the base averaged over the coordinates before min(I), all three roots
+    # of one memo of iterated-variance states
+    states = VarianceStates(space, base.array)
+    moments = difference_moments(base)
     var_tables = {}
     paths = 0.0
     orders = 0.0
@@ -120,24 +133,21 @@ def check_instance(space, statistic, perm_rng: np.random.Generator) -> InstanceC
     prefix_terms = [[] for _ in range(n)]
     for mask in range(1, 1 << n):
         iset = IndexSet.from_mask(mask)
-        rec = iterated_variance(cache, iset)
+        rec = cache.clamp(states.state(0, mask), f"iterated_variance({iset.indices})")
         ie = iterated_variance_ie(cache, iset)
         var_tables[mask] = rec
-        paths = max(paths, _amax(rec.array - ie.array))
+        paths = max(paths, _amax(rec - ie.array))
         if len(iset) >= 2:
             order = list(iset.indices)
             perm_rng.shuffle(order)
             permuted = iterated_variance(cache, order)
-            orders = max(orders, _amax(rec.array - permuted.array))
-        e_var = float(np.sum(w * rec.array))
+            orders = max(orders, _amax(rec - permuted.array))
+        e_var = float(np.sum(w * rec))
         superset = max(superset, abs(e_var - decomp.superset_mass(iset)))
-        moment = iterated_difference_moment(base, iset)
-        diff = max(diff, abs(moment / 2.0 ** len(iset) - e_var))
-        projected = cache._expect_mask(full & ~mask).array
-        e_var_projected = float(np.sum(w * var_sequence(space, projected, iset.indices)))
+        diff = max(diff, abs(moments[mask] / 2.0 ** len(iset) - e_var))
+        e_var_projected = float(np.sum(w * states.state(full & ~mask, mask)))
         prefix_mask = (1 << (iset.indices[0] - 1)) - 1
-        smoothed = cache._expect_mask(prefix_mask).array
-        e_var_smoothed = float(np.sum(w * var_sequence(space, smoothed, iset.indices)))
+        e_var_smoothed = float(np.sum(w * states.state(prefix_mask, mask)))
         jensen = max(jensen, e_var_smoothed - e_var)
         total_terms[len(iset) - 1].append(e_var)
         projected_terms[len(iset) - 1].append(e_var_projected)
@@ -173,7 +183,7 @@ def check_instance(space, statistic, perm_rng: np.random.Generator) -> InstanceC
         spread = cond_mean_mask(space, (base.array - center) ** 2, mij)
         cross_i = var_sequence(space, axis_mean(space, base.array, j), [i])
         cross_j = var_sequence(space, axis_mean(space, base.array, i), [j])
-        pair = max(pair, _amax(var_tables[mij].array - (spread - cross_i - cross_j)))
+        pair = max(pair, _amax(var_tables[mij] - (spread - cross_i - cross_j)))
     res["pair_decomposition"] = pair
 
     # Hoeffding structure

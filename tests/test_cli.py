@@ -603,6 +603,31 @@ class TestSelfcheck:
         assert cli.main(["run", str(replays[0]), "--out", str(tmp_path / "replay")]) == 0
 
 
+class TestClosedStdout:
+    """A reader that closes stdout early (`jackvar selfcheck | head -1`) gets no traceback."""
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", ["selfcheck", "run"])
+    def test_one_stderr_line_and_exit_1(self, tmp_path, command, unbuffered):
+        args = ["selfcheck", "--instances", "2"]
+        if command == "run":
+            args = ["run", write_config(tmp_path, RAD2_PROD_CONFIG)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(README.parent / "src"), os.environ.get("PYTHONPATH")) if p))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)  # every write to stdout now fails with EPIPE
+        try:
+            proc = subprocess.run([sys.executable, "-m", "jackvar.cli", *args], cwd=tmp_path, env=env,
+                                  stdout=write, stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: standard output was closed before all output was written\n"
+
+
 def _typo(path: str, doc: dict) -> dict:
     """A copy of `doc` with the field `stray` added to the object at `path`."""
     doc = json.loads(json.dumps(doc))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import jackvar as jv
-from jackvar.conditional import axis_mean, cond_mean_mask, var_sequence
+from jackvar.conditional import VarianceStates, axis_mean, cond_mean_mask, var_sequence
 from jackvar.model import GridSizeError
 from jackvar.selfcheck import random_instance
 
@@ -226,6 +226,43 @@ class TestOracleEquivalence:
                 want = bf.iterated_variance(bs, table, list(iset.indices))
                 for idx, g in zip(bs.indices, got):
                     assert g == pytest.approx(want[idx], abs=1e-10)
+
+
+class TestVarianceStates:
+    def test_total_root_is_the_ascending_recursion_bit_for_bit(self):
+        rng = np.random.Generator(np.random.Philox(key=71))
+        for _ in range(30):
+            space, stat = random_instance(rng)
+            cache = make_cache(space, stat)
+            states = VarianceStates(space, cache.base.array)
+            for mask in range(1, 1 << space.n):
+                got = cache.clamp(states.state(0, mask), "")
+                want = jv.iterated_variance(cache, jv.IndexSet.from_mask(mask)).array
+                assert np.array_equal(np.broadcast_to(got, space.shape), want)
+
+    def test_projected_and_prefix_roots_match_the_literal_recursion(self):
+        rng = np.random.Generator(np.random.Philox(key=72))
+        for _ in range(30):
+            space, stat = random_instance(rng)
+            cache = make_cache(space, stat)
+            states = VarianceStates(space, cache.base.array)
+            full = (1 << space.n) - 1
+            for mask in range(1, 1 << space.n):
+                indices = jv.IndexSet.from_mask(mask).indices
+                prefix = (1 << (indices[0] - 1)) - 1
+                for averaged in (full & ~mask, prefix):
+                    literal = var_sequence(space, cache._expect_mask(averaged).array, indices)
+                    got = states.state(averaged, mask)
+                    assert np.max(np.abs(got - literal)) <= 1e-12 * cache.scale
+
+    def test_states_keep_length_one_on_averaged_and_varied_axes(self):
+        space = jv.build_space([jv.DiscreteDistribution([0.0, 1.0, 2.0], [0.2, 0.3, 0.5]),
+                                jv.DiscreteDistribution([-1.0, 1.0], [0.5, 0.5]),
+                                jv.DiscreteDistribution([0.0, 1.0, 3.0, 4.0], [0.25] * 4)])
+        states = VarianceStates(space, jv.tabulate(jv.Statistic.coordinate_max(), space).array)
+        assert states.state(0b001, 0).shape == (1, 2, 4)
+        assert states.state(0b100, 0b001).shape == (1, 2, 1)
+        assert states.state(0, 0b110).shape == (3, 1, 1)
 
 
 class TestPairDecomposition:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import jackvar as jv
+from jackvar import jackknife
 from jackvar.selfcheck import random_instance
 
 import bruteforce as bf
@@ -179,6 +180,16 @@ class TestDifferenceMoment:
                 want = signed_view_sum(table, iset.indices)
                 assert abs(jv.iterated_difference_moment(table, iset) - want) <= 1e-12 * scale
 
+    def test_depth_first_walk_matches_each_subset(self):
+        rng = np.random.Generator(np.random.Philox(key=68))
+        for _ in range(20):
+            space, stat = random_instance(rng)
+            table = jv.tabulate(stat, space)
+            moments = jackknife.difference_moments(table)
+            assert sorted(moments) == list(range(1, 1 << space.n))
+            for mask, got in moments.items():  # the same steps in the same order
+                assert got == jv.iterated_difference_moment(table, jv.IndexSet.from_mask(mask))
+
     def test_matches_bruteforce(self, rad3, u2_stat):
         bs, fn = bf.fixture("RAD3-U2")
         for subset in ([1], [2, 3], [1, 2, 3]):
@@ -189,8 +200,11 @@ class TestDifferenceMoment:
     def test_extended_overflow(self):
         d = jv.DiscreteDistribution.rademacher()
         sp = jv.build_space([d] * 4, cap=20)  # 16 outcomes fits, 32 does not
+        table = jv.tabulate(jv.Statistic.coordinate_max(), sp)
         with pytest.raises(jv.ModelError, match="cap"):
-            jv.iterated_difference_moment(jv.tabulate(jv.Statistic.coordinate_max(), sp), [1])
+            jv.iterated_difference_moment(table, [1])
+        with pytest.raises(jv.ModelError, match=r"grid for subset \[1\]: 32 float64 values"):
+            jackknife.difference_moments(table)
 
     def test_extended_grid_axes(self):
         # 63 axes tabulate; two copy axes make 65, beyond numpy's 64

@@ -1,9 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 
 import jackvar as jv
-from jackvar import selfcheck
+from jackvar import conditional, jackknife, selfcheck
 from jackvar.selfcheck import (
     IDENTITY_TOL,
     INEQUALITY_TOL,
@@ -101,3 +102,53 @@ def test_report_and_battery_share_the_identity_names():
     assert names == [f.name for f in dataclasses.fields(jv.IdentityResiduals)]
     checks = check_instance(space, stat, np.random.Generator(np.random.Philox(key=6)))
     assert set(names) <= set(checks.residuals)
+
+
+def _instance_of_three_or_more(key):
+    rng = np.random.Generator(np.random.Philox(key=key))
+    while True:
+        space, stat = random_instance(rng)
+        if space.n >= 3:
+            return space, stat
+
+
+def test_a_wrong_memo_base_case_trips_its_residuals(monkeypatch):
+    # the three moment families share the memo's var(B, c); the independent
+    # inclusion-exclusion path and the subset masses must both catch a fault in it
+    right = conditional.VarianceStates._single
+    monkeypatch.setattr(conditional.VarianceStates, "_single",
+                        lambda self, averaged, coord: 1.01 * right(self, averaged, coord))
+    space, stat = _instance_of_three_or_more(11)
+    checks = check_instance(space, stat, np.random.Generator(np.random.Philox(key=12)))
+    assert checks.residuals["variance_paths"] > IDENTITY_TOL
+    assert checks.residuals["oracle_vs_masses"] > IDENTITY_TOL
+
+
+def test_a_wrong_difference_step_trips_difference_moment(monkeypatch):
+    # the depth-first walk shares its (1 - P_c) step with iterated_difference_moment
+    right = jackknife._difference_step
+    monkeypatch.setattr(jackknife, "_difference_step", lambda diff, coord: 1.01 * right(diff, coord))
+    space, stat = _instance_of_three_or_more(13)
+    checks = check_instance(space, stat, np.random.Generator(np.random.Philox(key=14)))
+    assert checks.residuals["difference_moment"] > IDENTITY_TOL
+    assert checks.residuals["variance_paths"] <= IDENTITY_TOL
+
+
+def test_peak_memory_is_the_chain_of_difference_tables():
+    # the depth-first walk holds only the ancestors of the table it builds:
+    # D_1 .. D_{1..n}, 8 N m^k bytes each on an m^n grid of N outcomes; the rest
+    # (component tables, conditional means, the literal checks' temporaries)
+    # stays within 4 * 2^n grids.
+    m, n = 4, 5
+    rng = np.random.Generator(np.random.Philox(key=15))
+    space = jv.build_space([jv.DiscreteDistribution(rng.uniform(-1, 1, m), [1 / m] * m)] * n)
+    stat = jv.Statistic.table(rng.uniform(-1.0, 1.0, space.n_outcomes))
+    grid = 8 * space.n_outcomes
+    chain = sum(grid * m**k for k in range(1, n + 1))
+    tracemalloc.start()
+    try:
+        check_instance(space, stat, np.random.Generator(np.random.Philox(key=16)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < chain + 4 * 2**n * grid
